@@ -24,6 +24,7 @@ from .weil_model import (
     CERTIFIED_EMPTY,
     CoefficientTriple,
     check_identities,
+    cross_check_determinant,
     determinant_at,
     eigen_decomposition,
     elimination_determinant,
@@ -177,7 +178,9 @@ def run_pipeline(seed: int, max_attempts: int = 100) -> Certificate:
 
     All universal checks always run and are recorded.  When no sampled
     triple passes all three witness conditions within max_attempts, the
-    witness fields stay absent and the overall verdict is "Fail".
+    witness fields stay absent and the overall verdict is "Fail".  The
+    det M values at the origin and at the witness are cross-checked by
+    elimination of the evaluated 6x6 over Q (AssertionError on a mismatch).
     """
     identity_verdicts = {name: "Pass" if ok else "Fail"
                          for name, ok in check_identities().items()}
@@ -185,7 +188,9 @@ def run_pipeline(seed: int, max_attempts: int = 100) -> Certificate:
     factors = verify_diagonal().factors  # includes the base-point-free certificate
     genus_report = genus_check()
     det = elimination_determinant()
-    det_at_origin = determinant_at(CoefficientTriple.origin())
+    origin = CoefficientTriple.origin()
+    det_at_origin = determinant_at(origin)
+    cross_check_determinant(origin, det_at_origin)
     term_count = det.term_count()
 
     sampler = SeededSampler(seed)
@@ -195,6 +200,7 @@ def run_pipeline(seed: int, max_attempts: int = 100) -> Certificate:
         candidate = sampler.next_triple()
         values = _witness_conditions(candidate)
         if values is not None:
+            cross_check_determinant(candidate, values[0])
             witness = candidate
             witness_values = values
             break
@@ -232,11 +238,13 @@ def verify_certificate(cert: Certificate) -> None:
     """Recompute the witness-local checks and compare with the recorded values.
 
     Raises MissingWitness when the certificate has no witness, and
-    CertificateMismatch naming the first divergent field otherwise.
+    CertificateMismatch naming the first divergent field otherwise.  The
+    recomputed det M value is cross-checked as in run_pipeline.
     """
     if cert.witness_triple is None:
         raise MissingWitness("certificate has no witness to re-check")
     value = determinant_at(cert.witness_triple)
+    cross_check_determinant(cert.witness_triple, value)
     if value != cert.witness_det_m:
         raise CertificateMismatch("witness_det_m", cert.witness_det_m, value)
     kernel_dim = quadric_relation_kernel_dim(cert.witness_triple)

@@ -440,6 +440,10 @@ def _cmd_fpf(args) -> int:
 
 
 def _cmd_certify(args) -> int:
+    if args.max_attempts < 0:
+        print(f"error: --max-attempts must be non-negative, got {args.max_attempts}",
+              file=sys.stderr)
+        return 2
     cert = run_pipeline(args.seed, args.max_attempts)
     text = cert.to_json()
     if args.out:

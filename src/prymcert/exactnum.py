@@ -23,11 +23,14 @@ _Coercible = "GaussianRational | Fraction | int"
 
 
 def rational_from_text(text: str) -> Fraction:
-    """Parse 'p' or 'p/q' into a Fraction (no decimals accepted)."""
+    """Parse 'p' or 'p/q' into a Fraction (no decimals, no zero denominator)."""
     text = text.strip()
     if "." in text or "e" in text.lower():
         raise ValueError(f"not a decimal-free rational: {text!r}")
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator: {text!r}") from None
 
 
 def rational_to_text(value: Fraction) -> str:

@@ -1,19 +1,12 @@
 """Exact linear algebra over Q(i) and over polynomial rings.
 
-ScalarMatrix holds GaussianRational entries and supports rank and right
-kernel bases by exact Gauss-Jordan elimination.  PolyMatrix holds ring
-elements (polynomials, or any type with +, -, *, **0, bool and
-divide_exact) and supports fraction-free determinants.
-
-The determinant routine is the two-step Bareiss algorithm: it maintains
-the matrix of bordered minors of even level, advancing two elimination
-steps at a time via 3x3 determinants of the previous level divided by
-the square of the leading-minor pivot (Sylvester's determinant
-identity), so every division is exact in the ring.  Pivot rows are the
-first rows that work, with no further reordering, so the result is
-deterministic; if no usable pivot pair exists (or an exact division ever
-fails) the routine falls back to memoized cofactor expansion of the
-remaining bordered-minor block.
+ScalarMatrix holds GaussianRational entries and supports rank, right
+kernel bases and determinants, all from one exact Gauss-Jordan pass.
+PolyMatrix holds ring elements (polynomials, or any type with +, -, *,
+**0 and bool) and gets its determinant by cofactor expansion along the
+rows, memoized over the set of columns each trailing minor uses.  The
+largest matrix in use is the 9x9 full elimination matrix, where the
+expansion visits at most 2^9 minors.
 """
 
 from __future__ import annotations
@@ -21,7 +14,6 @@ from __future__ import annotations
 from typing import Callable, Iterable, Sequence
 
 from .exactnum import GaussianRational, ZERO, ONE, as_gaussian
-from .multipoly import ExactDivisionError
 
 
 class _MatrixBase:
@@ -86,17 +78,25 @@ class PolyMatrix(_MatrixBase):
         return [[fn(e) for e in row] for row in self.entries]
 
 
-def _rref(matrix: ScalarMatrix) -> "tuple[list[list[GaussianRational]], list[tuple[int, int]]]":
-    """Reduced row echelon form (copy) and pivot (row, col) positions."""
+def _rref(matrix: ScalarMatrix) -> "tuple[list[list], list[tuple[int, int]], GaussianRational]":
+    """Reduced row echelon form (copy), pivot (row, col) positions, and scale.
+
+    scale is the product of the pivots, negated once per row swap; for a
+    square matrix of full rank it is the determinant.
+    """
     a = [list(row) for row in matrix.entries]
     nrows, ncols = matrix.rows, matrix.cols
     pivots: list[tuple[int, int]] = []
+    scale = ONE
     r = 0
     for c in range(ncols):
         pivot_row = next((i for i in range(r, nrows) if a[i][c]), None)
         if pivot_row is None:
             continue
-        a[r], a[pivot_row] = a[pivot_row], a[r]
+        if pivot_row != r:
+            a[r], a[pivot_row] = a[pivot_row], a[r]
+            scale = -scale
+        scale = scale * a[r][c]
         inv = a[r][c].inverse()
         a[r] = [e * inv for e in a[r]]
         for i in range(nrows):
@@ -107,7 +107,7 @@ def _rref(matrix: ScalarMatrix) -> "tuple[list[list[GaussianRational]], list[tup
         r += 1
         if r == nrows:
             break
-    return a, pivots
+    return a, pivots, scale
 
 
 def rank(matrix: ScalarMatrix) -> int:
@@ -121,7 +121,7 @@ def kernel_basis(matrix: ScalarMatrix) -> "list[tuple[GaussianRational, ...]]":
     Deterministic: one basis vector per free column in ascending column
     order, with entry 1 at the free column.
     """
-    a, pivots = _rref(matrix)
+    a, pivots, _ = _rref(matrix)
     pivot_cols = {c for _, c in pivots}
     basis = []
     for free in range(matrix.cols):
@@ -135,19 +135,18 @@ def kernel_basis(matrix: ScalarMatrix) -> "list[tuple[GaussianRational, ...]]":
     return basis
 
 
-def _one_like(element):
-    return element ** 0
+def det_expansion(matrix) -> object:
+    """Determinant of a square matrix over any ring, by memoized cofactor expansion.
 
-
-def _det3(a, b, c, d, e, f, g, h, i):
-    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-
-
-def _expansion_det(rows: "list[list]", one):
-    """Cofactor determinant, memoized over column subsets."""
-    n = len(rows)
-    full = (1 << n) - 1
-    memo: dict[int, object] = {full: one}
+    The minors of the trailing rows are cached by the set of columns they
+    use, so an n x n determinant costs O(n * 2^n) ring operations.
+    """
+    if matrix.rows != matrix.cols:
+        raise ValueError("determinant of a non-square matrix")
+    rows = matrix.entries
+    n = matrix.rows
+    one = rows[0][0] ** 0
+    memo: dict[int, object] = {(1 << n) - 1: one}
 
     def minor(mask: int, depth: int):
         # determinant of rows[depth:] restricted to columns NOT in mask
@@ -172,87 +171,9 @@ def _expansion_det(rows: "list[list]", one):
     return minor(0, 0)
 
 
-def det_expansion(matrix) -> object:
-    """Determinant by cofactor expansion (reference path, exponential)."""
+def det_rref(matrix: ScalarMatrix) -> GaussianRational:
+    """Determinant over Q(i) from the Gauss-Jordan pass behind rank and kernel_basis."""
     if matrix.rows != matrix.cols:
         raise ValueError("determinant of a non-square matrix")
-    one = _one_like(matrix.entries[0][0])
-    return _expansion_det([list(r) for r in matrix.entries], one)
-
-
-def det_bareiss(matrix) -> object:
-    """Exact determinant by two-step fraction-free elimination.
-
-    Works on ScalarMatrix and PolyMatrix alike; the returned value has
-    the entry type.  Falls back to cofactor expansion of the remaining
-    bordered-minor block when no pivot pair is available, dividing by
-    the appropriate power of the last good pivot (Sylvester identity).
-    """
-    if matrix.rows != matrix.cols:
-        raise ValueError("determinant of a non-square matrix")
-    n = matrix.rows
-    E = [list(row) for row in matrix.entries]
-    one = _one_like(E[0][0])
-    d = one          # leading t x t minor of the (possibly row-swapped) matrix
-    t = 0            # number of fully eliminated columns (even level)
-    negate = False
-
-    def fallback():
-        r = n - t
-        block = [row[t:] for row in E[t:]]
-        det_block = _expansion_det(block, one)
-        for _ in range(r - 1):
-            det_block = det_block.divide_exact(d)
-        return -det_block if negate else det_block
-
-    while n - t >= 3:
-        # pivot selection: first row with nonzero entry in column t, then the
-        # first further row making the leading 2x2 minor nonzero
-        i1 = next((i for i in range(t, n) if E[i][t]), None)
-        if i1 is None:
-            return fallback()
-        if i1 != t:
-            E[t], E[i1] = E[i1], E[t]
-            negate = not negate
-        p, q = E[t][t], E[t][t + 1]
-        i2 = None
-        for i in range(t + 1, n):
-            if p * E[i][t + 1] - q * E[i][t]:
-                i2 = i
-                break
-        if i2 is None:
-            return fallback()
-        if i2 != t + 1:
-            E[t + 1], E[i2] = E[i2], E[t + 1]
-            negate = not negate
-        r_, s_ = E[t + 1][t], E[t + 1][t + 1]
-        det2 = p * s_ - q * r_
-        d_sq = d * d
-        try:
-            for i in range(t + 2, n):
-                ei, ej = E[i][t], E[i][t + 1]
-                row = E[i]
-                trow = E[t]
-                urow = E[t + 1]
-                for j in range(t + 2, n):
-                    num = _det3(p, q, trow[j], r_, s_, urow[j], ei, ej, row[j])
-                    row[j] = num.divide_exact(d_sq)
-            d = det2.divide_exact(d)
-        except ExactDivisionError:
-            return fallback()
-        t += 2
-
-    if n - t == 2:
-        det2 = E[t][t] * E[t + 1][t + 1] - E[t][t + 1] * E[t + 1][t]
-        try:
-            result = det2.divide_exact(d)
-        except ExactDivisionError:
-            return fallback()
-    else:
-        result = E[t][t]
-    return -result if negate else result
-
-
-def det_scalar(matrix: ScalarMatrix) -> GaussianRational:
-    """Determinant of a scalar matrix (same fraction-free path)."""
-    return det_bareiss(matrix)
+    _, pivots, scale = _rref(matrix)
+    return scale if len(pivots) == matrix.rows else ZERO

@@ -502,7 +502,7 @@ def sylvester_resultant(f: Polynomial, g: Polynomial, name: str,
     homogeneous forms (zero-padded coefficient rows), which vanishes
     exactly when the forms share a projective root, including at infinity.
     """
-    from .linalg import PolyMatrix, det_bareiss
+    from .linalg import PolyMatrix, det_expansion
 
     f._check_registry(g)
     m = f.degree_in(name) if deg_f is None else deg_f
@@ -524,7 +524,7 @@ def sylvester_resultant(f: Polynomial, g: Polynomial, name: str,
         for k, c in enumerate(reversed(gc)):
             row[shift + k] = c
         rows.append(row)
-    return det_bareiss(PolyMatrix.from_rows(rows))
+    return det_expansion(PolyMatrix.from_rows(rows))
 
 
 class BidegreeForm:

@@ -18,8 +18,9 @@ exact arithmetic:
     expresses the c*d combinations over the invariant quadratics, the
     7x6 relation matrix of the b-products, and the full 9x9 matrix;
   * the determinant certificate (det at the origin is 1, symbolic det is
-    nonzero, the 9x9 determinant agrees up to sign) and its evaluation
-    at rational coefficient triples;
+    nonzero, the 9x9 determinant agrees up to sign), its evaluation at
+    rational coefficient triples, and the cross-check of an evaluated
+    value against Gauss-Jordan elimination of the evaluated 6x6 over Q;
   * the degree computation in the Chow ring Z[h1..h4]/(h_i^2) giving
     curve genus 13;
   * emptiness of the intersection with the diagonal for a given triple
@@ -42,8 +43,8 @@ from .exactnum import GaussianRational, IMAG_UNIT, ONE, Rational
 from .linalg import (
     PolyMatrix,
     ScalarMatrix,
-    det_bareiss,
     det_expansion,
+    det_rref,
     kernel_basis,
     rank,
 )
@@ -680,13 +681,14 @@ def eliminate() -> EliminationResult:
 def elimination_determinant() -> Polynomial:
     """The symbolic determinant of the 6x6 elimination matrix.
 
-    Computed by fraction-free elimination, then certified against the
-    9x9 determinant computed by the independent cofactor-expansion path
-    (the three unit rows make the big matrix block triangular, so the
-    determinants must agree up to sign).
+    Computed by memoized cofactor expansion, then compared with the 9x9
+    determinant by the same expansion (the three unit rows make the big
+    matrix block triangular, so the determinants must agree up to sign).
+    That comparison shares the algorithm; the check that does not is
+    cross_check_determinant, which eliminates the evaluated 6x6 over Q.
     """
     result = eliminate()
-    det = det_bareiss(result.matrix)
+    det = det_expansion(result.matrix)
     det_full = det_expansion(result.full_matrix)
     if det_full != det and det_full != -det:
         raise AssertionError("9x9 determinant disagrees with the 6x6 determinant")
@@ -723,20 +725,20 @@ def vanishing_quadric(triple: CoefficientTriple) -> "tuple[GaussianRational, ...
     return vectors[0]
 
 
-@dataclass(frozen=True)
-class IndependenceReport:
-    value: Rational
-    passed: bool
+def cross_check_determinant(triple: CoefficientTriple, value: Rational) -> None:
+    """Confirm a value of det M at a triple by an independent route.
 
-
-def independence_certificate(triple: CoefficientTriple) -> IndependenceReport:
-    """Nonvanishing of the determinant at a triple, cross-checked on the 9x9."""
-    value = determinant_at(triple)
-    full = _evaluate_matrix(eliminate().full_matrix, triple.as_point())
-    full_det = det_bareiss(full).rational_part()
-    if abs(full_det) != abs(value):
-        raise AssertionError("evaluated 9x9 determinant disagrees with the 6x6 value")
-    return IndependenceReport(value=value, passed=value != 0)
+    Evaluates the 6x6 elimination matrix at the triple and takes its
+    determinant over Q by Gauss-Jordan elimination, which shares no code
+    with the cofactor expansion behind elimination_determinant; raises
+    AssertionError when the two disagree.
+    """
+    scalar = _evaluate_matrix(eliminate().matrix, triple.as_point())
+    numeric = det_rref(scalar)
+    if numeric != GaussianRational(value):
+        raise AssertionError(
+            f"det M at {', '.join(map(str, triple.values()))}: "
+            f"symbolic value {value}, Gauss-Jordan value {numeric}")
 
 
 # ---------------------------------------------------------------------------

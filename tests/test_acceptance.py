@@ -16,7 +16,7 @@ from prymcert.certify import (
     verify_certificate,
 )
 from prymcert.exactnum import GaussianRational
-from prymcert.linalg import PolyMatrix, ScalarMatrix, det_bareiss
+from prymcert.linalg import PolyMatrix, ScalarMatrix, det_expansion, det_rref
 from prymcert.multipoly import Polynomial, VariableRegistry
 from prymcert import weil_model as wm
 
@@ -69,7 +69,9 @@ def test_criterion_4_determinant_certificate():
         det = wm.elimination_determinant()  # includes the 9x9 = +/- 6x6 assertion
         assert det.term_count() >= 1
         assert wm.determinant_at(wm.CoefficientTriple.origin()) == 1
-    timer.report(4, "det M: symbolic, det(origin) = 1, nonzero, 9x9 agrees up to sign")
+        wm.cross_check_determinant(wm.CoefficientTriple.origin(), Fraction(1))
+    timer.report(4, "det M: symbolic, det(origin) = 1, nonzero, 9x9 agrees up to sign, "
+                    "Q elimination agrees at the origin")
 
 
 def test_criterion_5_quadric_uniqueness():
@@ -137,15 +139,15 @@ def test_criterion_8_oracle_equivalences():
         return p
 
     with _Timer(30.0) as timer:
-        # 1. det_bareiss vs cofactor oracle: 100 scalar + 100 polynomial matrices
+        # 1. det_rref / det_expansion vs cofactor oracle: 100 scalar + 100 polynomial
         for _ in range(100):
             n = rng.randint(1, 5)
             rows = [[rand_scalar() for _ in range(n)] for _ in range(n)]
-            assert det_bareiss(ScalarMatrix.from_rows(rows)) == _naive_det(rows)
+            assert det_rref(ScalarMatrix.from_rows(rows)) == _naive_det(rows)
         for _ in range(100):
             n = rng.randint(1, 5)
             rows = [[rand_poly() for _ in range(n)] for _ in range(n)]
-            assert det_bareiss(PolyMatrix.from_rows(rows)) == _naive_det(rows)
+            assert det_expansion(PolyMatrix.from_rows(rows)) == _naive_det(rows)
 
         # 2. evaluate(det M) = det(evaluated M) at 50 random triples
         det = wm.elimination_determinant()
@@ -155,7 +157,7 @@ def test_criterion_8_oracle_equivalences():
                 [rng.randint(-10, 10) for _ in range(9)])
             point = triple.as_point()
             scalar = ScalarMatrix.from_rows(matrix.map(lambda e: e.evaluate(point)))
-            assert det.evaluate(point) == det_bareiss(scalar)
+            assert det.evaluate(point) == det_rref(scalar)
 
         # 3. substitute / evaluate homomorphism on 200 random pairs
         for _ in range(200):

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from prymcert import certify
 from prymcert.certify import (
     Certificate,
     CertificateMismatch,
@@ -120,6 +121,19 @@ def test_verify_certificate_detects_origin_swap(seed0_certificate):
         verify_certificate(swapped)
     assert err.value.field == "witness_quadric_kernel_dim"
     assert err.value.recomputed == 3
+
+
+def test_cross_check_catches_wrong_symbolic_determinant(seed0_certificate, monkeypatch):
+    # a det M engine that is off by one, with a certificate that agrees with it:
+    # the field comparison passes, so only the Gauss-Jordan cross-check can object
+    real = certify.determinant_at
+    monkeypatch.setattr(certify, "determinant_at", lambda triple: real(triple) + 1)
+    consistent = replace(seed0_certificate, witness_det_m=SEED0_DET + 1)
+    with pytest.raises(AssertionError, match="Gauss-Jordan") as err:
+        verify_certificate(consistent)
+    assert not isinstance(err.value, CertificateMismatch)
+    with pytest.raises(AssertionError, match="Gauss-Jordan"):
+        run_pipeline(0, 1)
 
 
 def test_verify_certificate_requires_witness():

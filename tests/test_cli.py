@@ -1,5 +1,6 @@
 """CLI subcommands, exit codes, and the expression parser."""
 
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -173,6 +174,15 @@ def test_detm_usage_errors(capsys):
     assert main(["detm", "--at", "a,b,c,d,e,f,g,h,j"]) == 2
 
 
+@pytest.mark.parametrize("command", ["detm", "quadric", "fpf"])
+def test_zero_denominator_is_a_usage_error(command, capsys):
+    assert main([command, "--at", "1/0,0,0,0,0,0,0,0,0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "zero denominator" in captured.err
+
+
 def test_quadric(capsys):
     assert main(["quadric", "--at", "0,0,0,0,0,0,0,0,0"]) == 1
     assert "dimension 3" in capsys.readouterr().out
@@ -195,7 +205,8 @@ def test_certify_and_recheck(tmp_path, capsys):
                  "--out", str(out_file)]) == 0
     summary = capsys.readouterr().out
     assert "Pass overall" in summary
-    assert out_file.exists()
+    assert hashlib.sha256(out_file.read_bytes()).hexdigest() == \
+        "ee3194657db4b8d7145c00cd39832165e8b252614241b9e3e4501afe54210abf"
 
     assert main(["recheck", "--cert", str(out_file)]) == 0
     assert capsys.readouterr().out.strip() == "Pass recheck"
@@ -218,6 +229,13 @@ def test_certify_json_output(capsys):
 def test_certify_without_witness(capsys):
     assert main(["certify", "--seed", "3", "--max-attempts", "0"]) == 1
     assert "Fail witness" in capsys.readouterr().out
+
+
+def test_certify_rejects_negative_max_attempts(capsys):
+    assert main(["certify", "--seed", "0", "--max-attempts", "-5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --max-attempts must be non-negative, got -5\n"
 
 
 def test_recheck_missing_file(capsys):

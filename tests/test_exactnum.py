@@ -124,3 +124,5 @@ def test_rational_text():
         rational_from_text("0.5")
     with pytest.raises(ValueError):
         rational_from_text("1e3")
+    with pytest.raises(ValueError):
+        rational_from_text("1/0")

@@ -1,8 +1,8 @@
-"""Exact linear algebra: rank, kernels, and fraction-free determinants.
+"""Exact linear algebra: rank, kernels, and determinants.
 
 The determinant oracle here is an independent naive Laplace expansion
 along the first row, written out in this file with no memoization, so
-agreement with det_bareiss is a genuine dual-route check.
+agreement with det_expansion and det_rref is a genuine dual-route check.
 """
 
 import random
@@ -10,12 +10,12 @@ from fractions import Fraction
 
 import pytest
 
-from prymcert.exactnum import GaussianRational, ZERO
+from prymcert.exactnum import GaussianRational, ONE, ZERO
 from prymcert.linalg import (
     PolyMatrix,
     ScalarMatrix,
-    det_bareiss,
     det_expansion,
+    det_rref,
     kernel_basis,
     rank,
 )
@@ -102,30 +102,32 @@ def test_det_examples():
     zero = Polynomial.zero(reg)
     ident = PolyMatrix.from_rows([[one if i == j else zero for j in range(3)]
                                   for i in range(3)])
-    assert det_bareiss(ident) == one
+    assert det_expansion(ident) == one
     m = PolyMatrix.from_rows([[A1, A2], [B1, B2]])
-    assert det_bareiss(m) == A1 * B2 - A2 * B1
+    assert det_expansion(m) == A1 * B2 - A2 * B1
+    assert det_rref(ScalarMatrix.identity(3)) == ONE
+    swapped = ScalarMatrix.from_rows([[0, 1, 0], [1, 0, 0], [0, 0, 3]])
+    assert det_rref(swapped) == GaussianRational(-3)
 
 
-def test_det_bareiss_matches_naive_oracle_scalar():
+def test_det_matches_naive_oracle_scalar():
     rng = random.Random(29)
     for _ in range(120):
         n = rng.randint(1, 5)
         rows = [[_rand_scalar(rng) for _ in range(n)] for _ in range(n)]
         m = ScalarMatrix.from_rows(rows)
         expected = naive_det([list(r) for r in m.entries])
-        assert det_bareiss(m) == expected
+        assert det_rref(m) == expected
         assert det_expansion(m) == expected
 
 
-def test_det_bareiss_matches_naive_oracle_poly():
+def test_det_matches_naive_oracle_poly():
     rng = random.Random(31)
     for _ in range(80):
         n = rng.randint(1, 4)
         rows = [[_rand_poly(rng) for _ in range(n)] for _ in range(n)]
         m = PolyMatrix.from_rows(rows)
         expected = naive_det([list(r) for r in m.entries])
-        assert det_bareiss(m) == expected
         assert det_expansion(m) == expected
 
 
@@ -141,9 +143,12 @@ def test_det_degenerate_pivots():
         [[u, 2 * u, one], [2 * u, 4 * u, v], [one, one, one]],   # 2x2 block singular
         [[zero, zero, one], [zero, one, zero], [one, zero, zero]],
     ]
+    point = {"u": Fraction(2), "v": Fraction(3)}
     for rows in cases:
         m = PolyMatrix.from_rows(rows)
-        assert det_bareiss(m) == naive_det(rows)
+        assert det_expansion(m) == naive_det(rows)
+        scalar = ScalarMatrix.from_rows(m.map(lambda e: e.evaluate(point)))
+        assert det_rref(scalar) == naive_det([list(r) for r in scalar.entries])
 
 
 def test_det_evaluation_commutes():
@@ -152,8 +157,8 @@ def test_det_evaluation_commutes():
         n = rng.randint(1, 4)
         m = PolyMatrix.from_rows([[_rand_poly(rng) for _ in range(n)] for _ in range(n)])
         point = {name: Fraction(rng.randint(-3, 3)) for name in REG.names}
-        sym = det_bareiss(m).evaluate(point)
-        num = det_bareiss(ScalarMatrix.from_rows(m.map(lambda e: e.evaluate(point))))
+        sym = det_expansion(m).evaluate(point)
+        num = det_rref(ScalarMatrix.from_rows(m.map(lambda e: e.evaluate(point))))
         assert sym == num
 
 
@@ -165,5 +170,10 @@ def test_transpose():
 
 
 def test_non_square_det_rejected():
+    m = ScalarMatrix.from_rows([[1, 2, 3], [4, 5, 6]])
     with pytest.raises(ValueError):
-        det_bareiss(ScalarMatrix.from_rows([[1, 2, 3], [4, 5, 6]]))
+        det_rref(m)
+    with pytest.raises(ValueError):
+        det_expansion(m)
+    with pytest.raises(ValueError):
+        det_expansion(PolyMatrix.from_rows([[Polynomial.variable(REG, "u")] * 2]))

@@ -222,6 +222,56 @@ def test_sylvester_resultant_declared_degrees():
     assert sylvester_resultant(f, g, "t", deg_f=1, deg_g=1) == 3 * s
 
 
+def _naive_det(rows):
+    """First-row Laplace expansion with no memoization."""
+    if len(rows) == 1:
+        return rows[0][0]
+    total = Polynomial.zero(rows[0][0].registry)
+    for j, entry in enumerate(rows[0]):
+        minor = _naive_det([r[:j] + r[j + 1:] for r in rows[1:]])
+        total = total - entry * minor if j % 2 else total + entry * minor
+    return total
+
+
+def _sylvester_rows(f, g):
+    """Sylvester matrix in t of two bidegree forms, from the textbook definition."""
+    m, n = f.degrees[1], g.degrees[1]
+    zero = Polynomial.zero(f.poly.registry)
+    fc = f.coefficients("t")[::-1]  # descending powers of t
+    gc = g.coefficients("t")[::-1]
+    return ([[zero] * k + fc + [zero] * (n - 1 - k) for k in range(n)]
+            + [[zero] * k + gc + [zero] * (m - 1 - k) for k in range(m)])
+
+
+def _random_form(rng, registry, t_degree):
+    p = Polynomial.zero(registry)
+    for _ in range(rng.randint(1, 4)):
+        mono = (rng.randint(0, 2), rng.randint(0, t_degree))
+        p = p + Polynomial(registry, {mono: Fraction(rng.randint(-4, 4), rng.randint(1, 2))})
+    return BidegreeForm(p, (2, t_degree))
+
+
+def test_sylvester_resultant_matches_naive_laplace():
+    reg = VariableRegistry(("s", "t"))
+    rng = random.Random(53)
+    for _ in range(60):
+        f = _random_form(rng, reg, rng.randint(1, 3))
+        g = _random_form(rng, reg, rng.randint(1, 3))
+        res = sylvester_resultant(f.poly, g.poly, "t", f.degrees[1], g.degrees[1])
+        assert res == _naive_det(_sylvester_rows(f, g))
+
+    # declared t-degrees above the actual ones: both forms vanish at t = inf
+    s, t = Polynomial.variables(reg, "s", "t")
+    f = BidegreeForm(s * t + 1, (2, 2))
+    g = BidegreeForm(2 * t - s ** 2, (2, 2))
+    assert not _naive_det(_sylvester_rows(f, g))
+    assert not sylvester_resultant(f.poly, g.poly, "t", 2, 2)
+    # the same coprime pair at its actual degrees has a nonzero resultant
+    f, g = BidegreeForm(f.poly, (2, 1)), BidegreeForm(g.poly, (2, 1))
+    res = sylvester_resultant(f.poly, g.poly, "t", 1, 1)
+    assert res == _naive_det(_sylvester_rows(f, g)) == -(s ** 3) - 2
+
+
 def test_common_root_detection_matches_evaluation():
     # resultant vanishes at a specialization iff the pair has a common root there
     s, t, x, y = _vars()

@@ -1,5 +1,6 @@
 """The model layer: group action, eigenbasis, identities, elimination, genus."""
 
+import hashlib
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -7,7 +8,7 @@ from itertools import combinations_with_replacement
 import pytest
 
 from prymcert.exactnum import GaussianRational, IMAG_UNIT, ONE, ZERO
-from prymcert.linalg import ScalarMatrix, det_bareiss, kernel_basis, rank
+from prymcert.linalg import ScalarMatrix, det_rref, kernel_basis, rank
 from prymcert.multipoly import Polynomial
 from prymcert import weil_model as wm
 
@@ -240,6 +241,10 @@ def test_determinant_certificate():
     assert det.term_count() == 383
     assert det.total_degree() == 9
     assert wm.determinant_at(wm.CoefficientTriple.origin()) == 1
+    render = det.render()
+    assert len(render) == 9178
+    assert hashlib.sha256(render.encode()).hexdigest() == \
+        "b6a791c48cbe970e9fd821a4d9555382b7872744b986aa86f7332a77484cb0c3"
 
 
 def test_full_matrix_determinant_matches_up_to_sign():
@@ -259,21 +264,27 @@ def test_determinant_evaluation_commutes():
             [rng.randint(-10, 10) for _ in range(9)])
         point = triple.as_point()
         direct = det.evaluate(point)
-        scalar = det_bareiss(
+        scalar = det_rref(
             ScalarMatrix.from_rows(elim.matrix.map(lambda e: e.evaluate(point))))
         assert direct == scalar
 
 
-def test_independence_certificate():
-    origin = wm.CoefficientTriple.origin()
-    report = wm.independence_certificate(origin)
-    assert report.passed and report.value == 1
+def test_determinant_cross_check():
+    for triple, expected in [(wm.CoefficientTriple.origin(), 1),
+                             (WITNESS, WITNESS_DET),
+                             (ZERO_DET_TRIPLE, 0)]:
+        value = wm.determinant_at(triple)
+        assert value == expected
+        wm.cross_check_determinant(triple, value)  # must not raise
 
-    report = wm.independence_certificate(WITNESS)
-    assert report.passed and report.value == WITNESS_DET
 
-    report = wm.independence_certificate(ZERO_DET_TRIPLE)
-    assert not report.passed and report.value == 0
+def test_determinant_cross_check_rejects_wrong_value():
+    for triple, wrong in [(wm.CoefficientTriple.origin(), 0),
+                          (WITNESS, WITNESS_DET + 1),
+                          (WITNESS, -WITNESS_DET),
+                          (ZERO_DET_TRIPLE, 1)]:
+        with pytest.raises(AssertionError, match="Gauss-Jordan"):
+            wm.cross_check_determinant(triple, wrong)
 
 
 # -- quadric relation --------------------------------------------------------------

@@ -89,7 +89,7 @@ class Certificate:
     seed: int
     identity_verdicts: "dict[str, str]"          # name -> "Pass" | "Fail"
     eigenspace_dims: "tuple[int, int, int, int]"
-    diagonal_factors: "tuple[Fraction, ...]"
+    diagonal_factors: "tuple[int | Fraction, ...]"
     chow_coefficient: int
     genus: int
     det_m_at_origin: Fraction
@@ -128,35 +128,79 @@ class Certificate:
 
     @classmethod
     def from_json(cls, text: str) -> "Certificate":
-        doc = json.loads(text)
-        witness = None
-        witness_det = None
-        kernel_dim = None
-        fpf = None
-        if "witness_triple" in doc:
-            witness = CoefficientTriple.from_rationals(
-                [rational_from_text(v) for v in doc["witness_triple"]])
-            witness_det = rational_from_text(doc["witness_det_m"])
-            kernel_dim = int(doc["witness_quadric_kernel_dim"])
-            fpf = doc["fixed_point_free"]
+        """Parse a certificate, checking the shape of every field.
+
+        ValueError names the first missing or malformed field.  Values are
+        not judged here; verify_certificate compares them with a recomputation.
+        """
+        try:
+            doc = json.loads(text)
+        except RecursionError:
+            raise ValueError("certificate JSON is nested too deeply") from None
+        if not isinstance(doc, dict):
+            raise ValueError(f"certificate must be a JSON object, not {type(doc).__name__}")
+        seed = _field(doc, "seed", int)
+        if seed < 0:
+            raise ValueError(f"certificate field 'seed' must be non-negative, got {seed}")
+        verdicts = _field(doc, "identity_verdicts", dict)
+        if not all(isinstance(v, str) for v in verdicts.values()):  # JSON keys are strings
+            raise ValueError("certificate field 'identity_verdicts' must map names to strings")
+        witness = witness_det = kernel_dim = fpf = None
+        if any(name in doc for name in _WITNESS_FIELDS):  # then all four are required
+            witness = CoefficientTriple.from_rationals(_rationals(doc, "witness_triple", 9))
+            witness_det = _rational(doc, "witness_det_m")
+            kernel_dim = _field(doc, "witness_quadric_kernel_dim", int)
+            fpf = _field(doc, "fixed_point_free", str)
         return cls(
-            tool_version=doc["tool_version"],
-            seed=int(doc["seed"]),
-            identity_verdicts=dict(doc["identity_verdicts"]),
-            eigenspace_dims=tuple(doc["eigenspace_dims"]),
-            diagonal_factors=tuple(rational_from_text(v)
-                                   for v in doc["diagonal_factors"]),
-            chow_coefficient=int(doc["chow_coefficient"]),
-            genus=int(doc["genus"]),
-            det_m_at_origin=rational_from_text(doc["det_m_at_origin"]),
-            det_m_term_count=int(doc["det_m_term_count"]),
-            det_m_nonzero=bool(doc["det_m_nonzero"]),
+            tool_version=_field(doc, "tool_version", str),
+            seed=seed,
+            identity_verdicts=dict(verdicts),
+            eigenspace_dims=tuple(_field(doc, "eigenspace_dims", list, int, 4)),
+            diagonal_factors=tuple(_rationals(doc, "diagonal_factors")),
+            chow_coefficient=_field(doc, "chow_coefficient", int),
+            genus=_field(doc, "genus", int),
+            det_m_at_origin=_rational(doc, "det_m_at_origin"),
+            det_m_term_count=_field(doc, "det_m_term_count", int),
+            det_m_nonzero=_field(doc, "det_m_nonzero", bool),
             witness_triple=witness,
             witness_det_m=witness_det,
             witness_quadric_kernel_dim=kernel_dim,
             fixed_point_free=fpf,
-            overall=doc["overall"],
+            overall=_field(doc, "overall", str),
         )
+
+
+_WITNESS_FIELDS = ("witness_triple", "witness_det_m", "witness_quadric_kernel_dim",
+                   "fixed_point_free")
+
+
+def _is(value: object, kind: type) -> bool:
+    """isinstance, except that a JSON true/false is not an int."""
+    return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
+
+
+def _field(doc: dict, name: str, kind: type, item: "type | None" = None,
+           length: "int | None" = None):
+    """doc[name], required to be of JSON type kind (a list of item, of a given length)."""
+    if name not in doc:
+        raise ValueError(f"certificate field {name!r} is missing")
+    value = doc[name]
+    if not _is(value, kind):
+        raise ValueError(f"certificate field {name!r} must be {kind.__name__}, "
+                         f"got {type(value).__name__}")
+    if item is not None and not all(_is(v, item) for v in value):
+        raise ValueError(f"certificate field {name!r} must hold only {item.__name__} values")
+    if length is not None and len(value) != length:
+        raise ValueError(f"certificate field {name!r} must have {length} entries, got {len(value)}")
+    return value
+
+
+def _rational(doc: dict, name: str) -> Fraction:
+    return rational_from_text(_field(doc, name, str))
+
+
+def _rationals(doc: dict, name: str, length: "int | None" = None) -> "list[Fraction]":
+    return [rational_from_text(v) for v in _field(doc, name, list, str, length)]
 
 
 def _witness_conditions(triple: CoefficientTriple) -> "tuple[Fraction, int, str] | None":
@@ -173,14 +217,12 @@ def _witness_conditions(triple: CoefficientTriple) -> "tuple[Fraction, int, str]
     return value, kernel_dim, verdict
 
 
-def run_pipeline(seed: int, max_attempts: int = 100) -> Certificate:
-    """Run every check and search for a witness; deterministic in (seed, max_attempts).
+def universal_fields() -> "dict[str, object]":
+    """The certificate fields that do not depend on the seed, freshly computed.
 
-    All universal checks always run and are recorded.  When no sampled
-    triple passes all three witness conditions within max_attempts, the
-    witness fields stay absent and the overall verdict is "Fail".  The
-    det M values at the origin and at the witness are cross-checked by
-    elimination of the evaluated 6x6 over Q (AssertionError on a mismatch).
+    Keys are Certificate field names.  det M is cross-checked at the
+    origin by elimination of the evaluated 6x6 over Q (AssertionError on
+    a mismatch).
     """
     identity_verdicts = {name: "Pass" if ok else "Fail"
                          for name, ok in check_identities().items()}
@@ -191,8 +233,41 @@ def run_pipeline(seed: int, max_attempts: int = 100) -> Certificate:
     origin = CoefficientTriple.origin()
     det_at_origin = determinant_at(origin)
     cross_check_determinant(origin, det_at_origin)
-    term_count = det.term_count()
+    return {
+        "tool_version": __version__,
+        "identity_verdicts": identity_verdicts,
+        "eigenspace_dims": dims,
+        "diagonal_factors": factors,
+        "chow_coefficient": genus_report.chow_coefficient,
+        "genus": genus_report.genus,
+        "det_m_at_origin": det_at_origin,
+        "det_m_term_count": det.term_count(),
+        "det_m_nonzero": bool(det),
+    }
 
+
+def _overall(fields: "dict[str, object]", has_witness: bool) -> str:
+    universal_pass = (
+        all(v == "Pass" for v in fields["identity_verdicts"].values())
+        and fields["eigenspace_dims"] == (6, 4, 3, 3)
+        and fields["chow_coefficient"] == 24
+        and fields["genus"] == 13
+        and fields["det_m_at_origin"] == 1
+        and fields["det_m_term_count"] > 0
+    )
+    return "Pass" if universal_pass and has_witness else "Fail"
+
+
+def run_pipeline(seed: int, max_attempts: int = 100) -> Certificate:
+    """Run every check and search for a witness; deterministic in (seed, max_attempts).
+
+    All universal checks always run and are recorded.  When no sampled
+    triple passes all three witness conditions within max_attempts, the
+    witness fields stay absent and the overall verdict is "Fail".  The
+    det M values at the origin and at the witness are cross-checked by
+    elimination of the evaluated 6x6 over Q (AssertionError on a mismatch).
+    """
+    fields = universal_fields()
     sampler = SeededSampler(seed)
     witness = None
     witness_values: "tuple[Fraction, int, str] | None" = None
@@ -205,44 +280,33 @@ def run_pipeline(seed: int, max_attempts: int = 100) -> Certificate:
             witness_values = values
             break
 
-    universal_pass = (
-        all(v == "Pass" for v in identity_verdicts.values())
-        and dims == (6, 4, 3, 3)
-        and genus_report.chow_coefficient == 24
-        and genus_report.genus == 13
-        and det_at_origin == 1
-        and term_count > 0
-    )
-    overall = "Pass" if universal_pass and witness is not None else "Fail"
-
     return Certificate(
-        tool_version=__version__,
         seed=seed,
-        identity_verdicts=identity_verdicts,
-        eigenspace_dims=dims,
-        diagonal_factors=factors,
-        chow_coefficient=genus_report.chow_coefficient,
-        genus=genus_report.genus,
-        det_m_at_origin=det_at_origin,
-        det_m_term_count=term_count,
-        det_m_nonzero=bool(det),
+        **fields,
         witness_triple=witness,
         witness_det_m=witness_values[0] if witness_values else None,
         witness_quadric_kernel_dim=witness_values[1] if witness_values else None,
         fixed_point_free=witness_values[2] if witness_values else None,
-        overall=overall,
+        overall=_overall(fields, witness is not None),
     )
 
 
 def verify_certificate(cert: Certificate) -> None:
-    """Recompute the witness-local checks and compare with the recorded values.
+    """Recompute every field and compare it with the recorded value.
 
     Raises MissingWitness when the certificate has no witness, and
-    CertificateMismatch naming the first divergent field otherwise.  The
-    recomputed det M value is cross-checked as in run_pipeline.
+    CertificateMismatch naming the first divergent field otherwise, in
+    certificate field order.  The seed is not re-sampled: any witness
+    that passes the checks is as good as the sampled one.  The
+    recomputed det M values are cross-checked as in run_pipeline.
     """
     if cert.witness_triple is None:
         raise MissingWitness("certificate has no witness to re-check")
+    fields = universal_fields()
+    for name, recomputed in fields.items():
+        recorded = getattr(cert, name)
+        if recorded != recomputed:
+            raise CertificateMismatch(name, recorded, recomputed)
     value = determinant_at(cert.witness_triple)
     cross_check_determinant(cert.witness_triple, value)
     if value != cert.witness_det_m:
@@ -254,3 +318,6 @@ def verify_certificate(cert: Certificate) -> None:
     verdict = fixed_point_free_check(cert.witness_triple)
     if verdict != cert.fixed_point_free:
         raise CertificateMismatch("fixed_point_free", cert.fixed_point_free, verdict)
+    overall = _overall(fields, has_witness=True)
+    if cert.overall != overall:
+        raise CertificateMismatch("overall", cert.overall, overall)

@@ -440,6 +440,9 @@ def _cmd_fpf(args) -> int:
 
 
 def _cmd_certify(args) -> int:
+    if args.seed < 0:
+        print(f"error: --seed must be non-negative, got {args.seed}", file=sys.stderr)
+        return 2
     if args.max_attempts < 0:
         print(f"error: --max-attempts must be non-negative, got {args.max_attempts}",
               file=sys.stderr)
@@ -479,7 +482,7 @@ def _cmd_recheck(args) -> int:
     try:
         with open(args.cert, "r", encoding="utf-8") as handle:
             cert = Certificate.from_json(handle.read())
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: cannot load certificate: {exc}", file=sys.stderr)
         return 2
     try:

@@ -1,11 +1,20 @@
 """Exact arithmetic over Q and Q(i).
 
-Every coefficient in this package is a Gaussian rational: an element of
-Q(i) stored as an exact pair of `fractions.Fraction` values.  Fraction
-already guarantees the canonical form we rely on everywhere else (fully
-reduced, positive denominator, arbitrary precision), so two equal values
-always have an identical representation and polynomial equality reduces
-to coefficient comparison.  No floating point is used anywhere.
+A coefficient in this package is a plain Python number wherever the
+imaginary unit does not occur, and a Gaussian rational only where it
+does.  `normalize` puts every exact value into exactly one of three
+forms:
+
+  * an `int`;
+  * a `fractions.Fraction` with denominator > 1;
+  * a `GaussianRational` (a pair of Fractions re + im*i) with im != 0.
+
+Gaussian arithmetic returns the real form as soon as an imaginary part
+cancels, and compares and hashes equal to the real number it denotes, so
+two equal values have one representation and polynomial equality
+reduces to coefficient comparison.  No floating point is used anywhere:
+`int / int` is a float in Python, so every coefficient division goes
+through `quotient`.
 
 Textual form: a rational renders as ``p`` or ``p/q``; a Gaussian rational
 renders as e.g. ``1/2-3/4*i``.  The rendering is decimal-free and is
@@ -18,8 +27,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 Rational = Fraction
-
-_Coercible = "GaussianRational | Fraction | int"
 
 
 def rational_from_text(text: str) -> Fraction:
@@ -38,9 +45,14 @@ def rational_to_text(value: Fraction) -> str:
     return str(value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GaussianRational:
-    """An element re + im*i of Q(i), the field of Gaussian rationals."""
+    """An element re + im*i of Q(i), the field of Gaussian rationals.
+
+    Arithmetic results with a zero imaginary part come back as an int or
+    a Fraction; an instance built directly with im = 0 equals (and hashes
+    like) its real part.
+    """
 
     re: Fraction = Fraction(0)
     im: Fraction = Fraction(0)
@@ -51,98 +63,88 @@ class GaussianRational:
         if not isinstance(self.im, Fraction):
             object.__setattr__(self, "im", Fraction(self.im))
 
-    # -- construction ----------------------------------------------------
-
-    @classmethod
-    def from_rational(cls, value: Fraction | int) -> "GaussianRational":
-        return cls(Fraction(value), Fraction(0))
-
-    # -- predicates -------------------------------------------------------
+    # -- comparison ----------------------------------------------------------
 
     def __bool__(self) -> bool:
         return bool(self.re) or bool(self.im)
 
-    @property
-    def is_rational(self) -> bool:
-        return self.im == 0
+    def __eq__(self, other: object) -> bool:
+        if type(other) is GaussianRational:
+            return self.re == other.re and self.im == other.im
+        if isinstance(other, (int, Fraction)):
+            return not self.im and self.re == other
+        return NotImplemented
 
-    def rational_part(self) -> Fraction:
-        """The value as a Fraction; raises if the imaginary part is nonzero."""
-        if self.im != 0:
-            raise ValueError(f"{self} is not rational")
-        return self.re
+    def __hash__(self) -> int:
+        return hash((self.re, self.im)) if self.im else hash(self.re)
 
-    # -- ring operations --------------------------------------------------
+    # -- ring operations ------------------------------------------------------
 
-    def __add__(self, other: object) -> "GaussianRational":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return GaussianRational(self.re + other.re, self.im + other.im)
+    def __add__(self, other: object):
+        if type(other) is GaussianRational:
+            return _gaussian(self.re + other.re, self.im + other.im)
+        if isinstance(other, (int, Fraction)):
+            return _gaussian(self.re + other, self.im)
+        return NotImplemented
 
     __radd__ = __add__
 
-    def __neg__(self) -> "GaussianRational":
-        return GaussianRational(-self.re, -self.im)
+    def __neg__(self):
+        return _gaussian(-self.re, -self.im)
 
-    def __sub__(self, other: object) -> "GaussianRational":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return GaussianRational(self.re - other.re, self.im - other.im)
+    def __sub__(self, other: object):
+        if type(other) is GaussianRational:
+            return _gaussian(self.re - other.re, self.im - other.im)
+        if isinstance(other, (int, Fraction)):
+            return _gaussian(self.re - other, self.im)
+        return NotImplemented
 
-    def __rsub__(self, other: object) -> "GaussianRational":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
+    def __rsub__(self, other: object):
+        if isinstance(other, (int, Fraction)):
+            return _gaussian(other - self.re, -self.im)
+        return NotImplemented
 
-    def __mul__(self, other: object) -> "GaussianRational":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+    def __mul__(self, other: object):
+        if type(other) is GaussianRational:
+            a, b, c, d = self.re, self.im, other.re, other.im
+            return _gaussian(a * c - b * d, a * d + b * c)
+        if isinstance(other, (int, Fraction)):
+            return _gaussian(self.re * other, self.im * other)
+        return NotImplemented
 
     __rmul__ = __mul__
 
-    def inverse(self) -> "GaussianRational":
+    def inverse(self):
         """Multiplicative inverse; conjugate over the norm re^2 + im^2."""
         norm = self.re * self.re + self.im * self.im
         if norm == 0:
             raise ZeroDivisionError("inverse of zero in Q(i)")
-        return GaussianRational(self.re / norm, -self.im / norm)
+        return _gaussian(self.re / norm, -self.im / norm)
 
-    def __truediv__(self, other: object) -> "GaussianRational":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
+    def __truediv__(self, other: object):
+        if type(other) is GaussianRational:
+            return self * other.inverse()
+        if isinstance(other, (int, Fraction)):
+            return _gaussian(self.re / other, self.im / other)
+        return NotImplemented
 
-    def __rtruediv__(self, other: object) -> "GaussianRational":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other * self.inverse()
+    def __rtruediv__(self, other: object):
+        if isinstance(other, (int, Fraction)):
+            return self.inverse() * other
+        return NotImplemented
 
-    def divide_exact(self, other: "GaussianRational") -> "GaussianRational":
-        """Division (always exact in a field); mirrors Polynomial.divide_exact."""
-        return self / other
+    def conjugate(self):
+        return _gaussian(self.re, -self.im)
 
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
-
-    def __pow__(self, exponent: int) -> "GaussianRational":
+    def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("exponent must be a non-negative integer")
-        result = ONE
+        result = 1
         base = self
         n = exponent
         while n:
             if n & 1:
-                result = result * base
+                result = base * result
             base = base * base
             n >>= 1
         return result
@@ -162,6 +164,20 @@ class GaussianRational:
         return self.to_text()
 
 
+_new_object = object.__new__
+_set_field = object.__setattr__
+
+
+def _gaussian(re: Fraction, im: Fraction):
+    """re + im*i from Fraction parts, in normalized form."""
+    if not im:
+        return re.numerator if re.denominator == 1 else re
+    value = _new_object(GaussianRational)
+    _set_field(value, "re", re)
+    _set_field(value, "im", im)
+    return value
+
+
 def _imag_text(im: Fraction, leading: bool) -> str:
     if im == 1:
         return "i"
@@ -171,22 +187,29 @@ def _imag_text(im: Fraction, leading: bool) -> str:
     return f"{im}*i"
 
 
-def _coerce(value: object):
-    if isinstance(value, GaussianRational):
+def normalize(value: "Coefficient") -> "Coefficient":
+    """The one form of an exact number: int, Fraction with denominator > 1,
+    or GaussianRational with a nonzero imaginary part.
+
+    TypeError for anything else, floats included.
+    """
+    kind = type(value)
+    if kind is int:
         return value
-    if isinstance(value, (int, Fraction)):
-        return GaussianRational(Fraction(value), Fraction(0))
-    return NotImplemented
+    if kind is Fraction:
+        return value.numerator if value.denominator == 1 else value
+    if kind is GaussianRational:
+        return value if value.im else normalize(value.re)
+    raise TypeError(f"cannot interpret {value!r} as an exact number")
 
 
-def as_gaussian(value: "GaussianRational | Fraction | int") -> GaussianRational:
-    """Coerce int / Fraction / GaussianRational to GaussianRational."""
-    coerced = _coerce(value)
-    if coerced is NotImplemented:
-        raise TypeError(f"cannot interpret {value!r} as a Gaussian rational")
-    return coerced
+def quotient(a: "Coefficient", b: "Coefficient") -> "Coefficient":
+    """Exact a / b in normalized form (never a float); ZeroDivisionError for b = 0."""
+    if type(a) is int and type(b) is int:
+        return normalize(Fraction(a, b))
+    return normalize(a / b)
 
 
-ZERO = GaussianRational(Fraction(0), Fraction(0))
-ONE = GaussianRational(Fraction(1), Fraction(0))
+Coefficient = int | Fraction | GaussianRational
+
 IMAG_UNIT = GaussianRational(Fraction(0), Fraction(1))

@@ -1,7 +1,9 @@
-"""Exact linear algebra over Q(i) and over polynomial rings.
+"""Exact linear algebra over Q, Q(i) and polynomial rings.
 
-ScalarMatrix holds GaussianRational entries and supports rank, right
-kernel bases and determinants, all from one exact Gauss-Jordan pass.
+ScalarMatrix holds exact numbers in the form exactnum.normalize gives
+(int, Fraction, or GaussianRational only where i occurs) and supports
+rank, right kernel bases and determinants, all from one exact
+Gauss-Jordan pass.
 PolyMatrix holds ring elements (polynomials, or any type with +, -, *,
 **0 and bool) and gets its determinant by cofactor expansion along the
 rows, memoized over the set of columns each trailing minor uses.  The
@@ -13,7 +15,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Sequence
 
-from .exactnum import GaussianRational, ZERO, ONE, as_gaussian
+from .exactnum import Coefficient, normalize, quotient
 
 
 class _MatrixBase:
@@ -51,16 +53,16 @@ class _MatrixBase:
 
 
 class ScalarMatrix(_MatrixBase):
-    """Dense matrix of GaussianRational entries."""
+    """Dense matrix of exact numbers (int, Fraction or GaussianRational)."""
 
     def __init__(self, entries):
-        entries = tuple(tuple(as_gaussian(e) for e in row) for row in entries)
+        entries = tuple(tuple(normalize(e) for e in row) for row in entries)
         super().__init__(entries)
 
     @classmethod
     def identity(cls, n: int) -> "ScalarMatrix":
         return cls.from_rows(
-            [[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
+            [[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
 
 class PolyMatrix(_MatrixBase):
@@ -78,7 +80,7 @@ class PolyMatrix(_MatrixBase):
         return [[fn(e) for e in row] for row in self.entries]
 
 
-def _rref(matrix: ScalarMatrix) -> "tuple[list[list], list[tuple[int, int]], GaussianRational]":
+def _rref(matrix: ScalarMatrix) -> "tuple[list[list], list[tuple[int, int]], Coefficient]":
     """Reduced row echelon form (copy), pivot (row, col) positions, and scale.
 
     scale is the product of the pivots, negated once per row swap; for a
@@ -87,7 +89,7 @@ def _rref(matrix: ScalarMatrix) -> "tuple[list[list], list[tuple[int, int]], Gau
     a = [list(row) for row in matrix.entries]
     nrows, ncols = matrix.rows, matrix.cols
     pivots: list[tuple[int, int]] = []
-    scale = ONE
+    scale = 1
     r = 0
     for c in range(ncols):
         pivot_row = next((i for i in range(r, nrows) if a[i][c]), None)
@@ -97,7 +99,7 @@ def _rref(matrix: ScalarMatrix) -> "tuple[list[list], list[tuple[int, int]], Gau
             a[r], a[pivot_row] = a[pivot_row], a[r]
             scale = -scale
         scale = scale * a[r][c]
-        inv = a[r][c].inverse()
+        inv = quotient(1, a[r][c])
         a[r] = [e * inv for e in a[r]]
         for i in range(nrows):
             if i != r and a[i][c]:
@@ -111,11 +113,11 @@ def _rref(matrix: ScalarMatrix) -> "tuple[list[list], list[tuple[int, int]], Gau
 
 
 def rank(matrix: ScalarMatrix) -> int:
-    """Rank over Q(i) by exact Gaussian elimination."""
+    """Rank by exact Gaussian elimination."""
     return len(_rref(matrix)[1])
 
 
-def kernel_basis(matrix: ScalarMatrix) -> "list[tuple[GaussianRational, ...]]":
+def kernel_basis(matrix: ScalarMatrix) -> "list[tuple[Coefficient, ...]]":
     """Basis of the right kernel; empty list iff the matrix is injective.
 
     Deterministic: one basis vector per free column in ascending column
@@ -127,10 +129,10 @@ def kernel_basis(matrix: ScalarMatrix) -> "list[tuple[GaussianRational, ...]]":
     for free in range(matrix.cols):
         if free in pivot_cols:
             continue
-        vec = [ZERO] * matrix.cols
-        vec[free] = ONE
+        vec = [0] * matrix.cols
+        vec[free] = 1
         for r, c in pivots:
-            vec[c] = -a[r][free]
+            vec[c] = normalize(-a[r][free])
         basis.append(tuple(vec))
     return basis
 
@@ -171,9 +173,9 @@ def det_expansion(matrix) -> object:
     return minor(0, 0)
 
 
-def det_rref(matrix: ScalarMatrix) -> GaussianRational:
-    """Determinant over Q(i) from the Gauss-Jordan pass behind rank and kernel_basis."""
+def det_rref(matrix: ScalarMatrix) -> Coefficient:
+    """Determinant from the Gauss-Jordan pass behind rank and kernel_basis."""
     if matrix.rows != matrix.cols:
         raise ValueError("determinant of a non-square matrix")
     _, pivots, scale = _rref(matrix)
-    return scale if len(pivots) == matrix.rows else ZERO
+    return normalize(scale) if len(pivots) == matrix.rows else 0

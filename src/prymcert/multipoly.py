@@ -1,9 +1,14 @@
-"""Sparse multivariate polynomial arithmetic over Q(i).
+"""Sparse multivariate polynomial arithmetic over Q and Q(i).
 
-A polynomial is a map from monomials to nonzero GaussianRational
-coefficients.  Monomials are exponent tuples indexed by a
-VariableRegistry, which fixes the variable order once and for all; two
-registries are interchangeable iff they carry the same name tuple.
+A polynomial is a map from monomials to nonzero exact coefficients, each
+in the one form exactnum.normalize gives: an int, a Fraction with
+denominator > 1, or a GaussianRational with a nonzero imaginary part.
+So a polynomial in which i does not occur is computed in plain integer
+and Fraction arithmetic.
+
+Monomials are exponent tuples indexed by a VariableRegistry, which fixes
+the variable order once and for all; two registries are interchangeable
+iff they carry the same name tuple.
 
 Term order is graded lexicographic in registry index order (total degree
 first, then exponent tuples compared left to right, larger first), so
@@ -16,9 +21,10 @@ fresh results and may be used freely across threads.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .exactnum import GaussianRational, ONE as ONE_GAUSSIAN, ZERO, as_gaussian
+from .exactnum import Coefficient, GaussianRational, normalize
 
 Monomial = tuple  # exponent tuple, one non-negative int per registry variable
 
@@ -37,10 +43,6 @@ class UnboundVariable(ValueError):
 
 class DegreeZero(ValueError):
     """Resultant requested with respect to a variable of degree < 1."""
-
-
-class ExactDivisionError(ArithmeticError):
-    """Polynomial division was requested but the divisor does not divide exactly."""
 
 
 class VariableRegistry:
@@ -99,20 +101,20 @@ def _grlex_key(mono: Monomial):
 
 
 class Polynomial:
-    """Immutable sparse polynomial over Q(i) in a fixed registry."""
+    """Immutable sparse polynomial over Q or Q(i) in a fixed registry."""
 
     __slots__ = ("registry", "_terms")
 
     def __init__(self, registry: VariableRegistry,
                  terms: Mapping[Monomial, object] | None = None):
         self.registry = registry
-        clean: dict[Monomial, GaussianRational] = {}
+        clean: dict[Monomial, Coefficient] = {}
         if terms:
             width = len(registry)
             for mono, coeff in terms.items():
                 if len(mono) != width:
                     raise ValueError(f"monomial {mono} has wrong arity for {registry!r}")
-                value = as_gaussian(coeff)
+                value = normalize(coeff)
                 if value:
                     clean[tuple(mono)] = value
         self._terms = clean
@@ -125,7 +127,7 @@ class Polynomial:
 
     @classmethod
     def constant(cls, registry: VariableRegistry, value: object) -> "Polynomial":
-        return cls(registry, {registry.unit_monomial(): as_gaussian(value)})
+        return cls(registry, {registry.unit_monomial(): value})
 
     @classmethod
     def variable(cls, registry: VariableRegistry, name: str) -> "Polynomial":
@@ -139,7 +141,7 @@ class Polynomial:
 
     # -- inspection -----------------------------------------------------------
 
-    def terms(self) -> "list[tuple[Monomial, GaussianRational]]":
+    def terms(self) -> "list[tuple[Monomial, Coefficient]]":
         """Terms in descending graded-lex order (leading term first)."""
         return sorted(self._terms.items(), key=lambda kv: _grlex_key(kv[0]), reverse=True)
 
@@ -149,17 +151,17 @@ class Polynomial:
     def __bool__(self) -> bool:
         return bool(self._terms)
 
-    def coefficient(self, mono: Monomial) -> GaussianRational:
-        return self._terms.get(tuple(mono), ZERO)
+    def coefficient(self, mono: Monomial) -> Coefficient:
+        return self._terms.get(tuple(mono), 0)
 
-    def constant_value(self) -> GaussianRational:
+    def constant_value(self) -> Coefficient:
         """The value of a constant polynomial."""
         unit = self.registry.unit_monomial()
         if any(m != unit for m in self._terms):
             raise ValueError(f"{self} is not constant")
-        return self._terms.get(unit, ZERO)
+        return self._terms.get(unit, 0)
 
-    def leading(self) -> "tuple[Monomial, GaussianRational]":
+    def leading(self) -> "tuple[Monomial, Coefficient]":
         """Leading (monomial, coefficient) in graded-lex order; zero poly raises."""
         if not self._terms:
             raise ValueError("zero polynomial has no leading term")
@@ -178,14 +180,6 @@ class Polynomial:
             return -1
         k = self.registry.index(name)
         return max(m[k] for m in self._terms)
-
-    def variables_used(self) -> "tuple[str, ...]":
-        used = [False] * len(self.registry)
-        for mono in self._terms:
-            for k, e in enumerate(mono):
-                if e:
-                    used[k] = True
-        return tuple(n for n, u in zip(self.registry.names, used) if u)
 
     # -- ring operations -------------------------------------------------------
 
@@ -208,11 +202,15 @@ class Polynomial:
             return NotImplemented
         out = dict(self._terms)
         for mono, coeff in other._terms.items():
-            total = out.get(mono, ZERO) + coeff
+            prior = out.get(mono)
+            if prior is None:
+                out[mono] = coeff
+                continue
+            total = normalize(prior + coeff)
             if total:
                 out[mono] = total
             else:
-                out.pop(mono, None)
+                del out[mono]
         result = Polynomial.__new__(Polynomial)
         result.registry = self.registry
         result._terms = out
@@ -242,18 +240,15 @@ class Polynomial:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        out: dict[Monomial, GaussianRational] = {}
+        out: dict[Monomial, Coefficient] = {}
         for m1, c1 in self._terms.items():
             for m2, c2 in other._terms.items():
-                mono = tuple(a + b for a, b in zip(m1, m2))
-                total = out.get(mono, ZERO) + c1 * c2
-                if total:
-                    out[mono] = total
-                else:
-                    out.pop(mono, None)
+                mono = tuple(map(add, m1, m2))
+                prior = out.get(mono)
+                out[mono] = c1 * c2 if prior is None else prior + c1 * c2
         result = Polynomial.__new__(Polynomial)
         result.registry = self.registry
-        result._terms = out
+        result._terms = {m: normalize(c) for m, c in out.items() if c}
         return result
 
     __rmul__ = __mul__
@@ -319,30 +314,27 @@ class Polynomial:
             result = result + term
         return result
 
-    def evaluate(self, point: "Mapping[str, object]") -> GaussianRational:
+    def evaluate(self, point: "Mapping[str, object]") -> Coefficient:
         """Exact value at a point binding every variable that occurs."""
-        values: dict[int, GaussianRational] = {}
+        values: dict[int, Coefficient] = {}
         for name, value in point.items():
-            values[self.registry.index(name)] = as_gaussian(value)
-        powers: dict[int, list[GaussianRational]] = {}  # per-variable power table
-
-        def power(k: int, e: int) -> GaussianRational:
-            if k not in values:
+            values[self.registry.index(name)] = normalize(value)
+        powers: list[list[Coefficient]] = []  # per variable, up to its degree
+        for k, top in enumerate(map(max, zip(*self._terms))):
+            if top and k not in values:
                 raise UnboundVariable(
                     f"variable {self.registry.names[k]!r} is not bound")
-            table = powers.setdefault(k, [ONE_GAUSSIAN, values[k]])
-            while len(table) <= e:
+            table = [1]
+            for _ in range(top):
                 table.append(table[-1] * values[k])
-            return table[e]
-
-        total = ZERO
+            powers.append(table)
+        total = 0
         for mono, coeff in self._terms.items():
-            term = coeff
-            for k, e in enumerate(mono):
+            for table, e in zip(powers, mono):
                 if e:
-                    term = term * power(k, e)
-            total = total + term
-        return total
+                    coeff = coeff * table[e]
+            total = total + coeff
+        return normalize(total)
 
     def coefficient_vector(
         self, basis: Sequence[Monomial]
@@ -366,8 +358,8 @@ class Polynomial:
                 if e:
                     carrier[k] = True
         position = {mono: k for k, mono in enumerate(basis)}
-        coeff_terms: list[dict[Monomial, GaussianRational]] = [{} for _ in basis]
-        remainder_terms: dict[Monomial, GaussianRational] = {}
+        coeff_terms: list[dict[Monomial, Coefficient]] = [{} for _ in basis]
+        remainder_terms: dict[Monomial, Coefficient] = {}
         for mono, coeff in self._terms.items():
             carrier_part = tuple(e if carrier[k] else 0 for k, e in enumerate(mono))
             rest = tuple(0 if carrier[k] else e for k, e in enumerate(mono))
@@ -392,35 +384,12 @@ class Polynomial:
             degree = max(actual, 0)
         if degree < actual:
             raise ValueError(f"declared degree {degree} below actual {actual}")
-        buckets: list[dict[Monomial, GaussianRational]] = [{} for _ in range(degree + 1)]
+        buckets: list[dict[Monomial, Coefficient]] = [{} for _ in range(degree + 1)]
         for mono, coeff in self._terms.items():
             e = mono[k]
             stripped = mono[:k] + (0,) + mono[k + 1:]
             buckets[e][stripped] = coeff
         return [Polynomial(self.registry, b) for b in buckets]
-
-    def divide_exact(self, divisor: "Polynomial") -> "Polynomial":
-        """Exact quotient self / divisor; ExactDivisionError if it does not exist."""
-        divisor = self._coerce(divisor)
-        if divisor is None:
-            raise TypeError("divisor must be a polynomial or scalar")
-        if not divisor:
-            raise ExactDivisionError("division by zero polynomial")
-        if not self:
-            return Polynomial.zero(self.registry)
-        div_mono, div_coeff = divisor.leading()
-        quotient: dict[Monomial, GaussianRational] = {}
-        remainder = self
-        while remainder:
-            mono, coeff = remainder.leading()
-            q_mono = tuple(a - b for a, b in zip(mono, div_mono))
-            if any(e < 0 for e in q_mono):
-                raise ExactDivisionError(
-                    f"leading monomial {mono} not divisible by {div_mono}")
-            q_coeff = coeff / div_coeff
-            quotient[q_mono] = q_coeff
-            remainder = remainder - Polynomial(self.registry, {q_mono: q_coeff}) * divisor
-        return Polynomial(self.registry, quotient)
 
     def change_registry(self, registry: VariableRegistry) -> "Polynomial":
         """Re-home the polynomial, mapping variables by name."""
@@ -428,7 +397,7 @@ class Polynomial:
             return self
         mapping = [registry.index(n) if n in registry else None
                    for n in self.registry.names]
-        out: dict[Monomial, GaussianRational] = {}
+        out: dict[Monomial, Coefficient] = {}
         width = len(registry)
         for mono, coeff in self._terms.items():
             exps = [0] * width
@@ -471,15 +440,15 @@ def _render_monomial(registry: VariableRegistry, mono: Monomial) -> str:
 
 
 def _render_term(registry: VariableRegistry, mono: Monomial,
-                 coeff: GaussianRational, leading: bool) -> str:
+                 coeff: Coefficient, leading: bool) -> str:
     body = _render_monomial(registry, mono)
-    if coeff.im != 0 and coeff.re != 0:
+    if type(coeff) is not GaussianRational:
+        value, unit = coeff, ""
+    elif coeff.re != 0:
         # mixed coefficients stay parenthesized: "+ (1/2-3/4*i)*s"
         prefix = f"({coeff.to_text()})"
         piece = f"{prefix}*{body}" if body else prefix
         return piece if leading else f"+ {piece}"
-    if coeff.im == 0:
-        value, unit = coeff.re, ""
     else:
         value, unit = coeff.im, "i"
     magnitude = abs(value)

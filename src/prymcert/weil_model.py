@@ -39,7 +39,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
-from .exactnum import GaussianRational, IMAG_UNIT, ONE, Rational
+from .exactnum import Coefficient, GaussianRational, IMAG_UNIT, Rational, quotient
 from .linalg import (
     PolyMatrix,
     ScalarMatrix,
@@ -194,8 +194,8 @@ _EIGEN_GROUPS = {
 }
 
 _EIGENVALUES = {
-    "+1": ONE,
-    "-1": -ONE,
+    "+1": 1,
+    "-1": -1,
     "+i": IMAG_UNIT,
     "-i": -IMAG_UNIT,
 }
@@ -228,7 +228,7 @@ def multilinear_monomials(reg: VariableRegistry) -> "list[Monomial]":
     return monos
 
 
-def _coefficient_row(poly: Polynomial, monos: Sequence[Monomial]) -> "list[GaussianRational]":
+def _coefficient_row(poly: Polynomial, monos: Sequence[Monomial]) -> "list[Coefficient]":
     return [poly.coefficient(m) for m in monos]
 
 
@@ -343,7 +343,6 @@ def identity_residuals() -> "dict[str, Polynomial]":
     chart definitions of the generators; every residual must be zero."""
     g = generators()
     i = IMAG_UNIT
-    one = ONE
     half = Fraction(1, 2)
     b_rows, cd_rows = _relation_tables(g)
     rhs = dict(b_rows)
@@ -360,11 +359,11 @@ def identity_residuals() -> "dict[str, Polynomial]":
     residuals["c1*d3+c3*d1"] = half * (c1 * d3 + c3 * d1) - rhs["c1*d3+c3*d1"]
     residuals["c1*d3-c3*d1"] = (i / 2) * (c1 * d3 - c3 * d1) - b2 * b4
     residuals["c1*d2-i*c2*d1"] = (
-        (one / (one - i)) * (c1 * d2 - i * (c2 * d1)) - rhs["c1*d2-i*c2*d1"])
-    residuals["c1*d2+i*c2*d1"] = (one / (one + i)) * (c1 * d2 + i * (c2 * d1)) - b1 * b2
+        (1 / (1 - i)) * (c1 * d2 - i * (c2 * d1)) - rhs["c1*d2-i*c2*d1"])
+    residuals["c1*d2+i*c2*d1"] = (1 / (1 + i)) * (c1 * d2 + i * (c2 * d1)) - b1 * b2
     residuals["c2*d3+i*c3*d2"] = (
-        (one / (one + i)) * (c2 * d3 + i * (c3 * d2)) - rhs["c2*d3+i*c3*d2"])
-    residuals["c2*d3-i*c3*d2"] = (-i / (one + i)) * (c2 * d3 - i * (c3 * d2)) - b2 * b3
+        (1 / (1 + i)) * (c2 * d3 + i * (c3 * d2)) - rhs["c2*d3+i*c3*d2"])
+    residuals["c2*d3-i*c3*d2"] = (-i / (1 + i)) * (c2 * d3 - i * (c3 * d2)) - b2 * b3
     assert tuple(residuals) == IDENTITY_NAMES
     return residuals
 
@@ -381,30 +380,8 @@ def verify_identities() -> None:
             raise IdentityFailed(name, residual)
 
 
-def verify_cubic_relation() -> None:
-    residual = identity_residuals()["cubic"]
-    if residual:
-        raise IdentityFailed("cubic", residual)
-
-
 B_IDENTITY_NAMES = IDENTITY_NAMES[1:8]
 CD_IDENTITY_NAMES = IDENTITY_NAMES[8:]
-
-
-def verify_b_products() -> None:
-    """The seven products of (-1)-eigenvectors over invariant quadratics."""
-    residuals = identity_residuals()
-    for name in B_IDENTITY_NAMES:
-        if residuals[name]:
-            raise IdentityFailed(name, residuals[name])
-
-
-def verify_cd_products() -> None:
-    """The nine combinations of c*d products (invariant- and b-valued)."""
-    residuals = identity_residuals()
-    for name in CD_IDENTITY_NAMES:
-        if residuals[name]:
-            raise IdentityFailed(name, residuals[name])
 
 
 # ---------------------------------------------------------------------------
@@ -440,11 +417,11 @@ def _diagonal_reference(reg: VariableRegistry) -> "dict[str, Polynomial]":
 
 @dataclass(frozen=True)
 class DiagonalReport:
-    factors: "tuple[Fraction, ...]"    # restricted a_k = factor * reference form
+    factors: "tuple[int | Fraction, ...]"    # restricted a_k = factor * reference form
     base_point_free: bool
 
 
-def diagonal_restriction_factors() -> "tuple[Fraction, ...]":
+def diagonal_restriction_factors() -> "tuple[int | Fraction, ...]":
     """Exact proportionality factor of each restricted invariant generator."""
     gens = generators()
     reg = diagonal_registry()
@@ -457,16 +434,16 @@ def diagonal_restriction_factors() -> "tuple[Fraction, ...]":
             raise IdentityFailed(f"{name}|diag", restricted)
         (_, lead_r) = restricted.leading()
         (_, lead_q) = ref.leading()
-        factor = lead_r / lead_q
-        if factor.im != 0:
+        factor = quotient(lead_r, lead_q)
+        if isinstance(factor, GaussianRational):
             raise IdentityFailed(f"{name}|diag", restricted)
-        if restricted - factor.re * ref:
-            raise IdentityFailed(f"{name}|diag", restricted - factor.re * ref)
-        factors.append(factor.re)
+        if restricted - factor * ref:
+            raise IdentityFailed(f"{name}|diag", restricted - factor * ref)
+        factors.append(factor)
     return tuple(factors)
 
 
-def _binary_forms_have_common_root(forms: "list[tuple[list[GaussianRational], int]]") -> bool:
+def _binary_forms_have_common_root(forms: "list[tuple[list[Coefficient], int]]") -> bool:
     """Common projective root test for scalar binary forms.
 
     Each entry is (dense ascending coefficients, declared degree).  The
@@ -486,16 +463,16 @@ def _binary_forms_have_common_root(forms: "list[tuple[list[GaussianRational], in
     return _poly_degree(gcd) != 0
 
 
-def _poly_degree(coeffs: "list[GaussianRational]") -> int:
+def _poly_degree(coeffs: "list[Coefficient]") -> int:
     for k in range(len(coeffs) - 1, -1, -1):
         if coeffs[k]:
             return k
     return -1
 
 
-def _univariate_gcd(a: "list[GaussianRational]",
-                    b: "list[GaussianRational]") -> "list[GaussianRational]":
-    """Monic gcd of dense univariate coefficient lists over Q(i) (Euclid)."""
+def _univariate_gcd(a: "list[Coefficient]",
+                    b: "list[Coefficient]") -> "list[Coefficient]":
+    """Monic gcd of dense univariate coefficient lists over Q or Q(i) (Euclid)."""
     a = a[: _poly_degree(a) + 1]
     b = b[: _poly_degree(b) + 1]
     while b:
@@ -503,11 +480,11 @@ def _univariate_gcd(a: "list[GaussianRational]",
     if not a:
         return []
     lead = a[-1]
-    return [c / lead for c in a]
+    return [quotient(c, lead) for c in a]
 
 
-def _poly_mod(a: "list[GaussianRational]",
-              b: "list[GaussianRational]") -> "list[GaussianRational]":
+def _poly_mod(a: "list[Coefficient]",
+              b: "list[Coefficient]") -> "list[Coefficient]":
     r = list(a)
     db = len(b) - 1
     lead = b[-1]
@@ -515,7 +492,7 @@ def _poly_mod(a: "list[GaussianRational]",
         if not r[-1]:
             r.pop()
             continue
-        q = r[-1] / lead
+        q = quotient(r[-1], lead)
         shift = len(r) - 1 - db
         for k in range(db + 1):
             r[shift + k] = r[shift + k] - q * b[k]
@@ -525,7 +502,7 @@ def _poly_mod(a: "list[GaussianRational]",
     return r
 
 
-def _scalar_coeff_list(poly: Polynomial, name: str, degree: int) -> "list[GaussianRational]":
+def _scalar_coeff_list(poly: Polynomial, name: str, degree: int) -> "list[Coefficient]":
     return [c.constant_value() for c in poly.coefficients_in(name, degree)]
 
 
@@ -701,8 +678,7 @@ def _evaluate_matrix(pm: PolyMatrix, point: Mapping[str, object]) -> ScalarMatri
 
 def determinant_at(triple: CoefficientTriple) -> Rational:
     """Exact value of the elimination determinant at a rational triple."""
-    value = elimination_determinant().evaluate(triple.as_point())
-    return value.rational_part()
+    return Fraction(elimination_determinant().evaluate(triple.as_point()))
 
 
 def quadric_relation_kernel_dim(triple: CoefficientTriple) -> int:
@@ -711,7 +687,7 @@ def quadric_relation_kernel_dim(triple: CoefficientTriple) -> int:
     return scalar.rows - rank(scalar)
 
 
-def vanishing_quadric(triple: CoefficientTriple) -> "tuple[GaussianRational, ...]":
+def vanishing_quadric(triple: CoefficientTriple) -> "tuple[Coefficient, ...]":
     """The unique linear relation among the seven b-product rows at a triple.
 
     Returns the 7-vector v with sum(v_k * row_k) = 0; KernelNotUnique
@@ -735,7 +711,7 @@ def cross_check_determinant(triple: CoefficientTriple, value: Rational) -> None:
     """
     scalar = _evaluate_matrix(eliminate().matrix, triple.as_point())
     numeric = det_rref(scalar)
-    if numeric != GaussianRational(value):
+    if numeric != value:
         raise AssertionError(
             f"det M at {', '.join(map(str, triple.values()))}: "
             f"symbolic value {value}, Gauss-Jordan value {numeric}")
@@ -798,10 +774,10 @@ def chow_coefficient(factors: "Sequence[Sequence[int]]") -> int:
         # reduce modulo h_k^2: square-free monomials only
         product = Polynomial(reg, {m: c for m, c in product.terms()
                                    if all(e <= 1 for e in m)})
-    top = product.coefficient((1, 1, 1, 1)).rational_part()
-    if top.denominator != 1:
+    top = product.coefficient((1, 1, 1, 1))
+    if not isinstance(top, int):
         raise ValueError(f"non-integer intersection number {top}")
-    return top.numerator
+    return top
 
 
 @dataclass(frozen=True)

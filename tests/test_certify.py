@@ -14,7 +14,7 @@ from prymcert.certify import (
     run_pipeline,
     verify_certificate,
 )
-from prymcert.weil_model import CoefficientTriple
+from prymcert.weil_model import IDENTITY_NAMES, CoefficientTriple
 
 # first triple drawn from seed 0; passes all three witness conditions
 SEED0_WITNESS = (6, 5, 6, -6, 6, -1, -2, -8, -2)
@@ -148,3 +148,28 @@ def test_rationals_serialized_as_text(seed0_certificate):
     assert doc["witness_det_m"] == "-5548257727"
     assert doc["diagonal_factors"] == ["2", "4", "2", "1", "1", "1"]
     assert doc["witness_triple"] == [str(v) for v in SEED0_WITNESS]
+
+
+_TAMPERED_FIELDS = {
+    "tool_version": "9.9",
+    "identity_verdicts": {name: "Fail" for name in IDENTITY_NAMES},
+    "eigenspace_dims": (6, 4, 4, 2),
+    "diagonal_factors": (Fraction(2), Fraction(4), Fraction(2),
+                         Fraction(1), Fraction(1), Fraction(1, 2)),
+    "chow_coefficient": 26,
+    "genus": 7,
+    "det_m_at_origin": Fraction(-1),
+    "det_m_term_count": 384,
+    "det_m_nonzero": False,
+    "overall": "Fail",
+}
+
+
+@pytest.mark.parametrize("field", list(_TAMPERED_FIELDS))
+def test_verify_certificate_detects_tampered_field(seed0_certificate, field):
+    tampered = replace(seed0_certificate, **{field: _TAMPERED_FIELDS[field]})
+    with pytest.raises(CertificateMismatch) as err:
+        verify_certificate(tampered)
+    assert err.value.field == field
+    assert err.value.recorded == _TAMPERED_FIELDS[field]
+    assert err.value.recomputed == getattr(seed0_certificate, field)

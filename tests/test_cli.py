@@ -22,9 +22,10 @@ from prymcert.cli import (
     parse_expression,
     parse_poly,
 )
+from prymcert.certify import run_pipeline
 from prymcert.exactnum import GaussianRational
 from prymcert.multipoly import Polynomial, UnknownVariable, VariableRegistry
-from prymcert.weil_model import generators
+from prymcert.weil_model import IDENTITY_NAMES, generators
 
 REG = VariableRegistry(("s", "t", "x", "y"))
 
@@ -236,6 +237,65 @@ def test_certify_rejects_negative_max_attempts(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: --max-attempts must be non-negative, got -5\n"
+
+
+@pytest.fixture(scope="module")
+def seed0_document():
+    return json.loads(run_pipeline(0, 100).to_json())
+
+
+def _recheck(tmp_path, document) -> int:
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(document))
+    return main(["recheck", "--cert", str(path)])
+
+
+_TAMPERED = {
+    "genus": 7,
+    "overall": "Fail",
+    "identity_verdicts": {name: "Fail" for name in IDENTITY_NAMES},
+    "tool_version": "9.9",
+}
+
+
+@pytest.mark.parametrize("field", list(_TAMPERED))
+def test_recheck_rejects_tampered_field(seed0_document, tmp_path, capsys, field):
+    assert _recheck(tmp_path, {**seed0_document, field: _TAMPERED[field]}) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("Fail recheck:") and f"field {field!r}" in out
+
+
+@pytest.mark.parametrize("edit", [
+    lambda doc: {**doc, "witness_triple": 5},
+    lambda doc: {**doc, "witness_quadric_kernel_dim": None},
+    lambda doc: [],
+    lambda doc: {**doc, "seed": -1},
+    lambda doc: {**doc, "seed": "abc"},
+    lambda doc: {k: v for k, v in doc.items() if k != "witness_det_m"},
+    lambda doc: {**doc, "witness_det_m": "1" * 5000},  # past the int-string limit
+], ids=["witness_triple_int", "null_kernel_dim", "top_level_list", "negative_seed",
+        "text_seed", "missing_witness_det", "oversized_rational"])
+def test_recheck_rejects_malformed_certificate(seed0_document, tmp_path, capsys, edit):
+    assert _recheck(tmp_path, edit(dict(seed0_document))) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot load certificate: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_recheck_rejects_deeply_nested_json(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000)
+    assert main(["recheck", "--cert", str(path)]) == 2
+    assert capsys.readouterr().err == \
+        "error: cannot load certificate: certificate JSON is nested too deeply\n"
+
+
+def test_certify_rejects_negative_seed(capsys):
+    assert main(["certify", "--seed", "-1", "--max-attempts", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --seed must be non-negative, got -1\n"
 
 
 def test_recheck_missing_file(capsys):

@@ -507,7 +507,7 @@ def _cmd_parse(args) -> int:
         poly = parse_poly(args.expr, registry)
     except (ParseError, UnknownVariable, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2
     if args.json:
         _emit_json({"polynomial": poly.render()})
     else:

@@ -205,6 +205,8 @@ def normalize(value: "Coefficient") -> "Coefficient":
 
 def quotient(a: "Coefficient", b: "Coefficient") -> "Coefficient":
     """Exact a / b in normalized form (never a float); ZeroDivisionError for b = 0."""
+    if b == 1:
+        return normalize(a)
     if type(a) is int and type(b) is int:
         return normalize(Fraction(a, b))
     return normalize(a / b)

@@ -21,10 +21,11 @@ fresh results and may be used freely across threads.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add
+from math import lcm, prod
+from operator import add, getitem
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .exactnum import Coefficient, GaussianRational, normalize
+from .exactnum import Coefficient, GaussianRational, normalize, quotient
 
 Monomial = tuple  # exponent tuple, one non-negative int per registry variable
 
@@ -315,26 +316,39 @@ class Polynomial:
         return result
 
     def evaluate(self, point: "Mapping[str, object]") -> Coefficient:
-        """Exact value at a point binding every variable that occurs."""
+        """Exact value at a point binding every variable that occurs.
+
+        Rational points are evaluated over a common denominator: each
+        bound value is split as n/d with d a positive integer, a term
+        c * x^e of a variable of degree top contributes c * n^e * d^(top-e),
+        and the sum is divided once by the product of the d^top.  So an
+        integer polynomial at a rational point is summed in plain ints,
+        and at a Q(i) point in Gaussian rationals with integer parts.
+        """
         values: dict[int, Coefficient] = {}
         for name, value in point.items():
             values[self.registry.index(name)] = normalize(value)
-        powers: list[list[Coefficient]] = []  # per variable, up to its degree
+        tables: list[list[Coefficient]] = []  # per variable, n^e * d^(top-e)
+        denominator = 1
         for k, top in enumerate(map(max, zip(*self._terms))):
-            if top and k not in values:
+            if not top:
+                tables.append([1])
+                continue
+            if k not in values:
                 raise UnboundVariable(
                     f"variable {self.registry.names[k]!r} is not bound")
+            n, d = _numerator_denominator(values[k])
             table = [1]
             for _ in range(top):
-                table.append(table[-1] * values[k])
-            powers.append(table)
+                table.append(table[-1] * n)
+            if d != 1:
+                table = [v * d ** (top - e) for e, v in enumerate(table)]
+                denominator *= d ** top
+            tables.append(table)
         total = 0
         for mono, coeff in self._terms.items():
-            for table, e in zip(powers, mono):
-                if e:
-                    coeff = coeff * table[e]
-            total = total + coeff
-        return normalize(total)
+            total = total + prod(map(getitem, tables, mono), start=coeff)
+        return quotient(total, denominator)
 
     def coefficient_vector(
         self, basis: Sequence[Monomial]
@@ -428,6 +442,15 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({self.render()})"
+
+
+def _numerator_denominator(value: Coefficient) -> "tuple[Coefficient, int]":
+    """(n, d) with value = n / d, d a positive int and n an int or a
+    Gaussian rational with integer parts."""
+    if type(value) is GaussianRational:
+        d = lcm(value.re.denominator, value.im.denominator)
+        return value * d, d
+    return value.numerator, value.denominator
 
 
 def _render_monomial(registry: VariableRegistry, mono: Monomial) -> str:

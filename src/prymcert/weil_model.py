@@ -6,8 +6,10 @@ the rotation sigma acts on it with eigenvalues 1, -1, i, -i and named
 eigenvectors a1..a6, b1..b4, c1..c3, d1..d3.  This module certifies, in
 exact arithmetic:
 
-  * the group relations of the dihedral group generated by the rotation
-    sigma and the involution tau, and the eigenspace decomposition;
+  * the eigenspace decomposition of the rotation sigma on V (the test
+    suite also checks the dihedral relations sigma^4 = tau^2 = 1,
+    tau*sigma*tau = sigma^-1 with the involution tau swapping s and x,
+    but no verdict rests on them);
   * the 17 product identities: the unique cubic relation among a1..a6,
     the seven expressions of b-products over invariant quadratics, and
     the nine expressions of c*d-products;
@@ -37,6 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
 from .exactnum import Coefficient, GaussianRational, IMAG_UNIT, Rational, quotient
@@ -125,22 +128,10 @@ class GroupElement:
         theirs = other.as_dict()
         return GroupElement.from_dict({v: mine[theirs[v]] for v in CHART_VARS})
 
-    def inverse(self) -> "GroupElement":
-        return GroupElement.from_dict({img: v for v, img in self.mapping})
-
-    def power(self, n: int) -> "GroupElement":
-        result = IDENTITY
-        base = self if n >= 0 else self.inverse()
-        for _ in range(abs(n)):
-            result = result * base
-        return result
-
 
 IDENTITY = GroupElement.from_dict({})
 # rotation: pullback substitution s->t, t->x, x->y, y->s (see module docstring)
 SIGMA = GroupElement.from_dict({"s": "t", "t": "x", "x": "y", "y": "s"})
-# involution swapping the first and third factors
-TAU = GroupElement.from_dict({"s": "x", "x": "s"})
 
 
 def apply_group(g: GroupElement, poly: Polynomial) -> Polynomial:
@@ -472,31 +463,47 @@ def _poly_degree(coeffs: "list[Coefficient]") -> int:
 
 def _univariate_gcd(a: "list[Coefficient]",
                     b: "list[Coefficient]") -> "list[Coefficient]":
-    """Monic gcd of dense univariate coefficient lists over Q or Q(i) (Euclid)."""
-    a = a[: _poly_degree(a) + 1]
-    b = b[: _poly_degree(b) + 1]
+    """Monic gcd of dense univariate coefficient lists over Q.
+
+    Runs over Z as a primitive remainder sequence: both inputs are
+    cleared of denominators and content, and every pseudo-remainder is
+    made primitive again.  The monic gcd over Q is unique, so the result
+    is the one Euclid's algorithm over Q gives.
+    """
+    a, b = _primitive(a), _primitive(b)
     while b:
-        a, b = b, _poly_mod(a, b)
+        a, b = b, _primitive(_pseudo_mod(a, b))
     if not a:
         return []
     lead = a[-1]
     return [quotient(c, lead) for c in a]
 
 
-def _poly_mod(a: "list[Coefficient]",
-              b: "list[Coefficient]") -> "list[Coefficient]":
+def _primitive(coeffs: "list[Coefficient]") -> "list[int]":
+    """The positive multiple of coeffs with coprime integer entries, trailing
+    zeros dropped ([] for the zero polynomial)."""
+    coeffs = coeffs[: _poly_degree(coeffs) + 1]
+    scale = lcm(*(c.denominator for c in coeffs))
+    ints = [int(c * scale) for c in coeffs]
+    content = gcd(*ints)
+    return [c // content for c in ints]
+
+
+def _pseudo_mod(a: "list[int]", b: "list[int]") -> "list[int]":
+    """Remainder of c * a modulo b for some nonzero integer c, over Z (b nonzero)."""
     r = list(a)
     db = len(b) - 1
     lead = b[-1]
     while len(r) - 1 >= db and r:
-        if not r[-1]:
-            r.pop()
+        top = r.pop()
+        if not top:
             continue
-        q = quotient(r[-1], lead)
-        shift = len(r) - 1 - db
-        for k in range(db + 1):
-            r[shift + k] = r[shift + k] - q * b[k]
-        r.pop()
+        g = gcd(top, lead)
+        scale, q = lead // g, top // g
+        shift = len(r) - db
+        r = [c * scale for c in r]
+        for k in range(db):
+            r[shift + k] -= q * b[k]
     while r and not r[-1]:
         r.pop()
     return r
@@ -722,14 +729,22 @@ def cross_check_determinant(triple: CoefficientTriple, value: Rational) -> None:
 # ---------------------------------------------------------------------------
 
 def _elimination_equations(triple: CoefficientTriple) -> "list[Polynomial]":
-    """The three chart equations a_k - (linear in a1..a3) defined by a triple."""
+    """The three chart equations a_k - (linear in a1..a3) defined by a triple.
+
+    Each equation is scaled by the lcm of its three coefficient
+    denominators, so it has integer coefficients (as do its restriction
+    to the diagonal and the resultants taken from it).  A nonzero scalar
+    does not move the zero set.
+    """
     gens = generators()
     coeffs = (triple.a, triple.b, triple.c)
     targets = ("a4", "a5", "a6")
     equations = []
-    for target, (u1, u2, u3) in zip(targets, coeffs):
+    for target, row in zip(targets, coeffs):
+        scale = lcm(*(u.denominator for u in row))
+        u1, u2, u3 = (int(u * scale) for u in row)
         combo = u1 * gens["a1"] + u2 * gens["a2"] + u3 * gens["a3"]
-        equations.append(gens[target] - combo)
+        equations.append(scale * gens[target] - combo)
     return equations
 
 

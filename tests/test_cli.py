@@ -310,10 +310,10 @@ def test_parse_subcommand(capsys):
     assert main(["parse", "--expr", "u*v", "--vars", "u,v"]) == 0
     assert capsys.readouterr().out.strip() == "u*v"
 
-    assert main(["parse", "--expr", "s + q"]) == 1
+    assert main(["parse", "--expr", "s + q"]) == 2
     assert "unknown variable" in capsys.readouterr().err
 
-    assert main(["parse", "--expr", "s +"]) == 1
+    assert main(["parse", "--expr", "s +"]) == 2
     assert "expected" in capsys.readouterr().err
 
     assert main(["parse", "--expr", "s", "--json"]) == 0

@@ -89,10 +89,22 @@ def test_resultant_coefficient_lists(triple, monkeypatch):
     assert len(resultants) == 2 and len(seen) == 2
     for poly in resultants:
         assert_polynomial_canonical(poly)
+        assert all(type(c) is int for _, c in poly.terms())
     for coeffs in seen:
         assert len(coeffs) == 9
         for value in coeffs:
-            assert_canonical(value)
+            assert type(value) is int, repr(value)
+
+
+@pytest.mark.parametrize("triple", TRIPLES, ids=["integer", "rational"])
+def test_restricted_equations_have_integer_coefficients(triple):
+    equations = wm._elimination_equations(triple)
+    assert len(equations) == 3
+    for equation in equations:
+        restricted = wm.restrict_to_diagonal(equation)
+        assert restricted
+        for _, coeff in restricted.terms():
+            assert type(coeff) is int, repr(coeff)
 
 
 def test_diagonal_factors():

@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 from . import __version__
 from .exactnum import rational_from_text
@@ -41,6 +42,17 @@ _REJECT_LIMIT = (2 ** 64 // _SPAN) * _SPAN
 
 class MissingWitness(ValueError):
     """The certificate carries no witness triple."""
+
+
+class WitnessRejected(AssertionError):
+    """A recorded witness value, recomputed correctly, fails its witness condition."""
+
+    def __init__(self, field: str, value: object):
+        super().__init__(
+            f"certificate field {field!r}: {value} fails the witness condition "
+            f"({_WITNESS_REQUIREMENTS[field]})")
+        self.field = field
+        self.value = value
 
 
 class CertificateMismatch(AssertionError):
@@ -203,18 +215,35 @@ def _rationals(doc: dict, name: str, length: "int | None" = None) -> "list[Fract
     return [rational_from_text(v) for v in _field(doc, name, list, str, length)]
 
 
-def _witness_conditions(triple: CoefficientTriple) -> "tuple[Fraction, int, str] | None":
-    """The three witness-local values, or None when any condition fails."""
+_WITNESS_REQUIREMENTS = {
+    "witness_det_m": "det M != 0",
+    "witness_quadric_kernel_dim": "kernel dimension 1",
+    "fixed_point_free": CERTIFIED_EMPTY,
+}
+
+
+def _witness_conditions(triple: CoefficientTriple) -> "Iterator[tuple[str, object, bool]]":
+    """Yield (field, value, condition holds) for the three witness fields.
+
+    In certificate field order, each value computed only when asked for,
+    so a caller that stops at the first failed condition skips the rest.
+    """
     value = determinant_at(triple)
-    if value == 0:
-        return None
+    yield "witness_det_m", value, value != 0
     kernel_dim = quadric_relation_kernel_dim(triple)
-    if kernel_dim != 1:
-        return None
+    yield "witness_quadric_kernel_dim", kernel_dim, kernel_dim == 1
     verdict = fixed_point_free_check(triple)
-    if verdict != CERTIFIED_EMPTY:
-        return None
-    return value, kernel_dim, verdict
+    yield "fixed_point_free", verdict, verdict == CERTIFIED_EMPTY
+
+
+def _witness_values(triple: CoefficientTriple) -> "tuple[Fraction, int, str] | None":
+    """The three witness-local values, or None when any condition fails."""
+    values = []
+    for _, value, holds in _witness_conditions(triple):
+        if not holds:
+            return None
+        values.append(value)
+    return tuple(values)
 
 
 def universal_fields() -> "dict[str, object]":
@@ -273,7 +302,7 @@ def run_pipeline(seed: int, max_attempts: int = 100) -> Certificate:
     witness_values: "tuple[Fraction, int, str] | None" = None
     for _ in range(max_attempts):
         candidate = sampler.next_triple()
-        values = _witness_conditions(candidate)
+        values = _witness_values(candidate)
         if values is not None:
             cross_check_determinant(candidate, values[0])
             witness = candidate
@@ -292,12 +321,15 @@ def run_pipeline(seed: int, max_attempts: int = 100) -> Certificate:
 
 
 def verify_certificate(cert: Certificate) -> None:
-    """Recompute every field and compare it with the recorded value.
+    """Recompute every field, compare it with the recorded value, and
+    require the witness conditions.
 
-    Raises MissingWitness when the certificate has no witness, and
-    CertificateMismatch naming the first divergent field otherwise, in
-    certificate field order.  The seed is not re-sampled: any witness
-    that passes the checks is as good as the sampled one.  The
+    Raises MissingWitness when the certificate has no witness;
+    otherwise, in certificate field order, CertificateMismatch names the
+    first divergent field and WitnessRejected the first witness field
+    whose (correctly recorded) value fails its condition: det M nonzero,
+    kernel dimension 1, CertifiedEmpty.  The seed is not re-sampled: any
+    witness that passes the checks is as good as the sampled one.  The
     recomputed det M values are cross-checked as in run_pipeline.
     """
     if cert.witness_triple is None:
@@ -307,17 +339,14 @@ def verify_certificate(cert: Certificate) -> None:
         recorded = getattr(cert, name)
         if recorded != recomputed:
             raise CertificateMismatch(name, recorded, recomputed)
-    value = determinant_at(cert.witness_triple)
-    cross_check_determinant(cert.witness_triple, value)
-    if value != cert.witness_det_m:
-        raise CertificateMismatch("witness_det_m", cert.witness_det_m, value)
-    kernel_dim = quadric_relation_kernel_dim(cert.witness_triple)
-    if kernel_dim != cert.witness_quadric_kernel_dim:
-        raise CertificateMismatch(
-            "witness_quadric_kernel_dim", cert.witness_quadric_kernel_dim, kernel_dim)
-    verdict = fixed_point_free_check(cert.witness_triple)
-    if verdict != cert.fixed_point_free:
-        raise CertificateMismatch("fixed_point_free", cert.fixed_point_free, verdict)
+    for name, recomputed, holds in _witness_conditions(cert.witness_triple):
+        if name == "witness_det_m":
+            cross_check_determinant(cert.witness_triple, recomputed)
+        recorded = getattr(cert, name)
+        if recorded != recomputed:
+            raise CertificateMismatch(name, recorded, recomputed)
+        if not holds:
+            raise WitnessRejected(name, recomputed)
     overall = _overall(fields, has_witness=True)
     if cert.overall != overall:
         raise CertificateMismatch("overall", cert.overall, overall)

@@ -38,6 +38,7 @@ from .certify import (
     Certificate,
     CertificateMismatch,
     MissingWitness,
+    WitnessRejected,
     run_pipeline,
     verify_certificate,
 )
@@ -487,7 +488,7 @@ def _cmd_recheck(args) -> int:
         return 2
     try:
         verify_certificate(cert)
-    except (CertificateMismatch, MissingWitness) as exc:
+    except (CertificateMismatch, MissingWitness, WitnessRejected) as exc:
         if args.json:
             _emit_json({"recheck": "Fail", "reason": str(exc)})
         else:

@@ -25,6 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
+from typing import Sequence
 
 Rational = Fraction
 
@@ -201,6 +203,23 @@ def normalize(value: "Coefficient") -> "Coefficient":
     if kind is GaussianRational:
         return value if value.im else normalize(value.re)
     raise TypeError(f"cannot interpret {value!r} as an exact number")
+
+
+def primitive(values: "Sequence[int | Fraction]") -> "tuple[list[int], int, int]":
+    """Clear the denominators of rationals and divide out the content.
+
+    Returns (ints, scale, content): ints = values * scale / content, with
+    scale the lcm of the denominators and content the gcd of the cleared
+    entries, so the ints are coprime (all zero, with content 1, when
+    every value is 0).  The one rule for moving rational rows and
+    coefficient lists into Z.
+    """
+    scale = lcm(*[v.denominator for v in values])
+    ints = [v.numerator * (scale // v.denominator) for v in values]
+    content = gcd(*ints) or 1
+    if content != 1:
+        ints = [v // content for v in ints]
+    return ints, scale, content
 
 
 def quotient(a: "Coefficient", b: "Coefficient") -> "Coefficient":

@@ -3,7 +3,14 @@
 ScalarMatrix holds exact numbers in the form exactnum.normalize gives
 (int, Fraction, or GaussianRational only where i occurs) and supports
 rank, right kernel bases and determinants, all from one exact
-Gauss-Jordan pass.
+Gauss-Jordan pass.  The entry types choose the arithmetic of that pass:
+a matrix over Q has each row cleared of denominators and content
+(exactnum.primitive) and is eliminated fraction-free over Z, each
+combined row made primitive again and the row multipliers recorded for
+the determinant; the only divisions are the final ones by the pivots.
+A matrix with a GaussianRational entry (the eigenspaces for +i and -i)
+is eliminated over the field Q(i) with unit pivots.  Both give the same
+reduced row echelon form, so the same ranks, kernels and determinants.
 PolyMatrix holds ring elements (polynomials, or any type with +, -, *,
 **0 and bool) and gets its determinant by cofactor expansion along the
 rows, memoized over the set of columns each trailing minor uses.  The
@@ -13,9 +20,10 @@ expansion visits at most 2^9 minors.
 
 from __future__ import annotations
 
+from math import gcd, prod
 from typing import Callable, Iterable, Sequence
 
-from .exactnum import Coefficient, normalize, quotient
+from .exactnum import Coefficient, GaussianRational, normalize, primitive, quotient
 
 
 class _MatrixBase:
@@ -81,11 +89,63 @@ class PolyMatrix(_MatrixBase):
 
 
 def _rref(matrix: ScalarMatrix) -> "tuple[list[list], list[tuple[int, int]], Coefficient]":
-    """Reduced row echelon form (copy), pivot (row, col) positions, and scale.
+    """Gauss-Jordan form (copy), pivot (row, col) positions, and determinant factor.
 
-    scale is the product of the pivots, negated once per row swap; for a
-    square matrix of full rank it is the determinant.
+    Every pivot column is zero outside its pivot row; a pivot entry need
+    not be 1, so the reduced row echelon form is row r divided by its
+    pivot.  For a square matrix of full rank the factor is the
+    determinant.  A matrix over Q is eliminated over Z; one with a
+    GaussianRational entry (i occurs) over the field Q(i).
     """
+    if any(type(e) is GaussianRational for row in matrix.entries for e in row):
+        return _rref_field(matrix)
+    return _rref_integer(matrix)
+
+
+def _rref_integer(matrix: ScalarMatrix) -> "tuple[list[list[int]], list[tuple[int, int]], Coefficient]":
+    """Fraction-free Gauss-Jordan over Z on rows made primitive.
+
+    Each row is cleared of denominators and content (exactnum.primitive)
+    at the start and after every combination.  num and den record the row
+    multipliers, so that det(matrix) * num == det(a) * den throughout.
+    """
+    a = []
+    num = den = 1
+    for row in matrix.entries:
+        ints, scale, content = primitive(row)
+        a.append(ints)
+        num *= scale
+        den *= content
+    nrows, ncols = matrix.rows, matrix.cols
+    pivots: list[tuple[int, int]] = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = next((i for i in range(r, nrows) if a[i][c]), None)
+        if pivot_row is None:
+            continue
+        if pivot_row != r:
+            a[r], a[pivot_row] = a[pivot_row], a[r]
+            num = -num
+        top = a[r]
+        pivot = top[c]
+        for i in range(nrows):
+            entry = a[i][c]
+            if i != r and entry:
+                g = gcd(pivot, entry)
+                p, q = pivot // g, entry // g
+                a[i], _, content = primitive([p * x - q * y for x, y in zip(a[i], top)])
+                num *= p
+                den *= content
+        pivots.append((r, c))
+        r += 1
+        if r == nrows:
+            break
+    det = quotient(prod(a[i][j] for i, j in pivots) * den, num)
+    return a, pivots, det
+
+
+def _rref_field(matrix: ScalarMatrix) -> "tuple[list[list], list[tuple[int, int]], Coefficient]":
+    """Gauss-Jordan over the field, with unit pivots."""
     a = [list(row) for row in matrix.entries]
     nrows, ncols = matrix.rows, matrix.cols
     pivots: list[tuple[int, int]] = []
@@ -132,7 +192,7 @@ def kernel_basis(matrix: ScalarMatrix) -> "list[tuple[Coefficient, ...]]":
         vec = [0] * matrix.cols
         vec[free] = 1
         for r, c in pivots:
-            vec[c] = normalize(-a[r][free])
+            vec[c] = quotient(-a[r][free], a[r][c])
         basis.append(tuple(vec))
     return basis
 

@@ -39,10 +39,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd
 from typing import Iterable, Mapping, Sequence
 
-from .exactnum import Coefficient, GaussianRational, IMAG_UNIT, Rational, quotient
+from .exactnum import Coefficient, GaussianRational, IMAG_UNIT, Rational, primitive, quotient
 from .linalg import (
     PolyMatrix,
     ScalarMatrix,
@@ -393,6 +393,13 @@ def restrict_to_diagonal(poly: Polynomial) -> Polynomial:
     return poly.substitute({"x": s, "y": t})
 
 
+@lru_cache(maxsize=1)
+def diagonal_generators() -> "dict[str, Polynomial]":
+    """The invariant generators a1..a6 restricted to the diagonal, computed once."""
+    gens = generators()
+    return {name: restrict_to_diagonal(gens[name]) for name in INVARIANT_NAMES}
+
+
 def _diagonal_reference(reg: VariableRegistry) -> "dict[str, Polynomial]":
     """Affine reference forms of the restricted generators (defined up to scale)."""
     s, t = Polynomial.variables(reg, "s", "t")
@@ -414,12 +421,9 @@ class DiagonalReport:
 
 def diagonal_restriction_factors() -> "tuple[int | Fraction, ...]":
     """Exact proportionality factor of each restricted invariant generator."""
-    gens = generators()
-    reg = diagonal_registry()
-    reference = _diagonal_reference(reg)
+    reference = _diagonal_reference(diagonal_registry())
     factors = []
-    for name in INVARIANT_NAMES:
-        restricted = restrict_to_diagonal(gens[name])
+    for name, restricted in diagonal_generators().items():
         ref = reference[name]
         if not restricted:
             raise IdentityFailed(f"{name}|diag", restricted)
@@ -470,23 +474,14 @@ def _univariate_gcd(a: "list[Coefficient]",
     made primitive again.  The monic gcd over Q is unique, so the result
     is the one Euclid's algorithm over Q gives.
     """
-    a, b = _primitive(a), _primitive(b)
+    a = primitive(a[: _poly_degree(a) + 1])[0]
+    b = primitive(b[: _poly_degree(b) + 1])[0]
     while b:
-        a, b = b, _primitive(_pseudo_mod(a, b))
+        a, b = b, primitive(_pseudo_mod(a, b))[0]
     if not a:
         return []
     lead = a[-1]
     return [quotient(c, lead) for c in a]
-
-
-def _primitive(coeffs: "list[Coefficient]") -> "list[int]":
-    """The positive multiple of coeffs with coprime integer entries, trailing
-    zeros dropped ([] for the zero polynomial)."""
-    coeffs = coeffs[: _poly_degree(coeffs) + 1]
-    scale = lcm(*(c.denominator for c in coeffs))
-    ints = [int(c * scale) for c in coeffs]
-    content = gcd(*ints)
-    return [c // content for c in ints]
 
 
 def _pseudo_mod(a: "list[int]", b: "list[int]") -> "list[int]":
@@ -529,9 +524,7 @@ def verify_diagonal() -> DiagonalReport:
     when emptiness cannot be certified.
     """
     factors = diagonal_restriction_factors()
-    gens = generators()
-    forms = [BidegreeForm(restrict_to_diagonal(gens[n]), (2, 2))
-             for n in INVARIANT_NAMES]
+    forms = [BidegreeForm(g, (2, 2)) for g in diagonal_generators().values()]
     resultants = []
     for i in range(len(forms)):
         for j in range(i + 1, len(forms)):
@@ -728,23 +721,25 @@ def cross_check_determinant(triple: CoefficientTriple, value: Rational) -> None:
 # fixed points and genus
 # ---------------------------------------------------------------------------
 
-def _elimination_equations(triple: CoefficientTriple) -> "list[Polynomial]":
-    """The three chart equations a_k - (linear in a1..a3) defined by a triple.
+def _elimination_equations(triple: CoefficientTriple,
+                           forms: Mapping[str, Polynomial]) -> "list[Polynomial]":
+    """The three equations a_k - (linear in a1..a3) defined by a triple.
 
-    Each equation is scaled by the lcm of its three coefficient
-    denominators, so it has integer coefficients (as do its restriction
-    to the diagonal and the resultants taken from it).  A nonzero scalar
+    forms gives a1..a6: generators() for the chart equations,
+    diagonal_generators() for their restrictions to the diagonal (which
+    are the same, restriction being a ring homomorphism).  Each equation
+    is cleared of denominators (exactnum.primitive of 1, u1, u2, u3, which
+    scales by the lcm of the three denominators), so it has integer
+    coefficients, as do the resultants taken from it.  A nonzero scalar
     does not move the zero set.
     """
-    gens = generators()
     coeffs = (triple.a, triple.b, triple.c)
     targets = ("a4", "a5", "a6")
     equations = []
     for target, row in zip(targets, coeffs):
-        scale = lcm(*(u.denominator for u in row))
-        u1, u2, u3 = (int(u * scale) for u in row)
-        combo = u1 * gens["a1"] + u2 * gens["a2"] + u3 * gens["a3"]
-        equations.append(scale * gens[target] - combo)
+        scale, u1, u2, u3 = primitive((1,) + row)[0]
+        combo = u1 * forms["a1"] + u2 * forms["a2"] + u3 * forms["a3"]
+        equations.append(scale * forms[target] - combo)
     return equations
 
 
@@ -758,7 +753,7 @@ def fixed_point_free_check(triple: CoefficientTriple) -> str:
     infinity.  Returns Inconclusive in every degenerate situation (an
     identically zero restriction or resultant, or a shared root).
     """
-    restricted = [restrict_to_diagonal(eq) for eq in _elimination_equations(triple)]
+    restricted = _elimination_equations(triple, diagonal_generators())
     if any(not g for g in restricted):
         return INCONCLUSIVE
     forms = [BidegreeForm(g, (2, 2)) for g in restricted]

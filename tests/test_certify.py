@@ -11,10 +11,17 @@ from prymcert.certify import (
     CertificateMismatch,
     MissingWitness,
     SeededSampler,
+    WitnessRejected,
     run_pipeline,
     verify_certificate,
 )
-from prymcert.weil_model import IDENTITY_NAMES, CoefficientTriple
+from prymcert.weil_model import (
+    IDENTITY_NAMES,
+    CoefficientTriple,
+    determinant_at,
+    fixed_point_free_check,
+    quadric_relation_kernel_dim,
+)
 
 # first triple drawn from seed 0; passes all three witness conditions
 SEED0_WITNESS = (6, 5, 6, -6, 6, -1, -2, -8, -2)
@@ -173,3 +180,35 @@ def test_verify_certificate_detects_tampered_field(seed0_certificate, field):
     assert err.value.field == field
     assert err.value.recorded == _TAMPERED_FIELDS[field]
     assert err.value.recomputed == getattr(seed0_certificate, field)
+
+
+# degenerate witnesses, each with the field whose witness condition fails first:
+# det M = 0, kernel dimension 1 and CertifiedEmpty are checked in that order
+DEGENERATE_WITNESSES = {
+    "origin": ((0,) * 9, "witness_quadric_kernel_dim"),
+    "a1-one": ((1,) + (0,) * 8, "witness_quadric_kernel_dim"),
+    "zero-det": ((1, 0, 0, 0, 0, 0, Fraction(1, 4), 0, 0), "witness_det_m"),
+    "meets-diagonal": ((Fraction(1, 2), 0, 0, Fraction(1, 4), 0, 0, Fraction(1, 4), 0, 0),
+                       "witness_det_m"),
+}
+
+
+def with_recomputed_witness(cert, values):
+    """cert with another witness triple and its correctly recomputed fields."""
+    triple = CoefficientTriple.from_rationals(values)
+    return replace(cert, witness_triple=triple,
+                   witness_det_m=determinant_at(triple),
+                   witness_quadric_kernel_dim=quadric_relation_kernel_dim(triple),
+                   fixed_point_free=fixed_point_free_check(triple))
+
+
+@pytest.mark.parametrize("name", list(DEGENERATE_WITNESSES))
+def test_verify_certificate_requires_witness_conditions(seed0_certificate, name):
+    values, field = DEGENERATE_WITNESSES[name]
+    degenerate = with_recomputed_witness(seed0_certificate, values)
+    assert degenerate.overall == "Pass"
+    with pytest.raises(WitnessRejected) as err:
+        verify_certificate(degenerate)
+    assert err.value.field == field
+    assert err.value.value == getattr(degenerate, field)
+    assert field in str(err.value)

@@ -158,6 +158,8 @@ def test_detm_at_origin(capsys):
 def test_detm_at_zero_locus(capsys):
     assert main(["detm", "--at", "1,0,0,0,0,0,1/4,0,0"]) == 1
     assert capsys.readouterr().out.strip() == "0"
+    assert main(["detm", "--at", "1,0,0,0,0,0,1/4,0,0", "--json"]) == 1
+    assert json.loads(capsys.readouterr().out) == {"det_m_value": "0"}
 
 
 def test_detm_symbolic_json(capsys):
@@ -191,6 +193,15 @@ def test_quadric(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["quadric_kernel_dim"] == 1
     assert len(doc["quadric_relation"]) == 7
+
+
+@pytest.mark.parametrize("triple, dimension", [
+    ("0,0,0,0,0,0,0,0,0", 3),
+    ("1,0,0,0,0,0,0,0,0", 2),
+], ids=["origin", "a1-one"])
+def test_quadric_rank_deficient_json(triple, dimension, capsys):
+    assert main(["quadric", "--at", triple, "--json"]) == 1
+    assert json.loads(capsys.readouterr().out) == {"quadric_kernel_dim": dimension}
 
 
 def test_fpf(capsys):
@@ -263,6 +274,24 @@ def test_recheck_rejects_tampered_field(seed0_document, tmp_path, capsys, field)
     assert _recheck(tmp_path, {**seed0_document, field: _TAMPERED[field]}) == 1
     out = capsys.readouterr().out
     assert out.startswith("Fail recheck:") and f"field {field!r}" in out
+
+
+@pytest.mark.parametrize("triple, det, dimension, verdict, field", [
+    ("0,0,0,0,0,0,0,0,0", "1", 3, "CertifiedEmpty", "witness_quadric_kernel_dim"),
+    ("1,0,0,0,0,0,0,0,0", "1", 2, "CertifiedEmpty", "witness_quadric_kernel_dim"),
+    ("1,0,0,0,0,0,1/4,0,0", "0", 2, "Inconclusive", "witness_det_m"),
+    ("1/2,0,0,1/4,0,0,1/4,0,0", "0", 3, "Inconclusive", "witness_det_m"),
+], ids=["origin", "a1-one", "zero-det", "meets-diagonal"])
+def test_recheck_rejects_degenerate_witness(seed0_document, tmp_path, capsys,
+                                            triple, det, dimension, verdict, field):
+    # every field agrees with a recomputation; the witness conditions do not hold
+    document = {**seed0_document, "witness_triple": triple.split(","),
+                "witness_det_m": det, "witness_quadric_kernel_dim": dimension,
+                "fixed_point_free": verdict, "overall": "Pass"}
+    assert _recheck(tmp_path, document) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("Fail recheck:") and f"field {field!r}" in out
+    assert "witness condition" in out
 
 
 @pytest.mark.parametrize("edit", [

@@ -1,6 +1,7 @@
 """The coefficient invariant: every exact number is an int, a Fraction with
 denominator > 1, or a GaussianRational with a nonzero imaginary part."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -96,15 +97,35 @@ def test_resultant_coefficient_lists(triple, monkeypatch):
             assert type(value) is int, repr(value)
 
 
-@pytest.mark.parametrize("triple", TRIPLES, ids=["integer", "rational"])
+# the degenerate triples of the benchmark oracle: the origin, A1 = 1, a zero
+# of det M, and a triple whose curve meets the diagonal
+DEGENERATE_TRIPLES = [wm.CoefficientTriple.from_rationals(values) for values in (
+    (0,) * 9,
+    (1,) + (0,) * 8,
+    (1, 0, 0, 0, 0, 0, Fraction(1, 4), 0, 0),
+    (Fraction(1, 2), 0, 0, Fraction(1, 4), 0, 0, Fraction(1, 4), 0, 0),
+)]
+_HEIGHT_RNG = random.Random(17)
+HEIGHT_TRIPLES = [wm.CoefficientTriple.from_rationals(
+    [Fraction(_HEIGHT_RNG.randint(-10 ** 6, 10 ** 6), _HEIGHT_RNG.randint(1, 10 ** 6))
+     for _ in range(9)]) for _ in range(5)]
+
+
+@pytest.mark.parametrize(
+    "triple", TRIPLES + HEIGHT_TRIPLES + DEGENERATE_TRIPLES,
+    ids=["integer", "rational"] + [f"height-{k}" for k in range(5)]
+    + ["origin", "a1-one", "zero-det", "meets-diagonal"])
 def test_restricted_equations_have_integer_coefficients(triple):
-    equations = wm._elimination_equations(triple)
-    assert len(equations) == 3
-    for equation in equations:
-        restricted = wm.restrict_to_diagonal(equation)
-        assert restricted
-        for _, coeff in restricted.terms():
-            assert type(coeff) is int, repr(coeff)
+    equations = wm._elimination_equations(triple, wm.generators())
+    restricted = wm._elimination_equations(triple, wm.diagonal_generators())
+    assert len(equations) == len(restricted) == 3
+    for equation, direct in zip(equations, restricted):
+        via_chart = wm.restrict_to_diagonal(equation)
+        assert via_chart
+        assert direct.registry == via_chart.registry
+        assert direct.terms() == via_chart.terms()
+        for (_, coeff), (_, chart_coeff) in zip(direct.terms(), via_chart.terms()):
+            assert type(coeff) is int and type(chart_coeff) is int, repr(coeff)
 
 
 def test_diagonal_factors():

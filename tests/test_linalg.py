@@ -3,6 +3,9 @@
 The determinant oracle here is an independent naive Laplace expansion
 along the first row, written out in this file with no memoization, so
 agreement with det_expansion and det_rref is a genuine dual-route check.
+The elimination over Z behind rank, kernel_basis and det_rref for
+matrices over Q is checked against reference_rref, a field Gauss-Jordan
+with unit pivots written out here.
 """
 
 import random
@@ -10,7 +13,9 @@ from fractions import Fraction
 
 import pytest
 
-from prymcert.exactnum import GaussianRational
+from prymcert import linalg
+from prymcert import weil_model as wm
+from prymcert.exactnum import IMAG_UNIT, GaussianRational, normalize, quotient
 from prymcert.linalg import (
     PolyMatrix,
     ScalarMatrix,
@@ -177,3 +182,167 @@ def test_non_square_det_rejected():
         det_expansion(m)
     with pytest.raises(ValueError):
         det_expansion(PolyMatrix.from_rows([[Polynomial.variable(REG, "u")] * 2]))
+
+
+# -- elimination over Z against a field reference ----------------------------------
+
+HEIGHT = 10 ** 6
+
+
+def reference_rref(rows):
+    """Gauss-Jordan over the field with unit pivots, returning the reduced
+    rows, the pivot positions, the pivot product negated once per row swap,
+    and the number of row swaps."""
+    a = [list(row) for row in rows]
+    nrows, ncols = len(a), len(a[0])
+    pivots = []
+    scale = 1
+    swaps = 0
+    r = 0
+    for c in range(ncols):
+        pivot_row = next((i for i in range(r, nrows) if a[i][c]), None)
+        if pivot_row is None:
+            continue
+        if pivot_row != r:
+            a[r], a[pivot_row] = a[pivot_row], a[r]
+            scale = -scale
+            swaps += 1
+        scale = scale * a[r][c]
+        inv = quotient(1, a[r][c])
+        a[r] = [e * inv for e in a[r]]
+        for i in range(nrows):
+            if i != r and a[i][c]:
+                factor = a[i][c]
+                a[i] = [x - factor * y for x, y in zip(a[i], a[r])]
+        pivots.append((r, c))
+        r += 1
+        if r == nrows:
+            break
+    return a, pivots, scale, swaps
+
+
+def reference_kernel(rows):
+    a, pivots, _, _ = reference_rref(rows)
+    ncols = len(rows[0])
+    pivot_cols = {c for _, c in pivots}
+    basis = []
+    for free in range(ncols):
+        if free in pivot_cols:
+            continue
+        vec = [0] * ncols
+        vec[free] = 1
+        for r, c in pivots:
+            vec[c] = normalize(-a[r][free])
+        basis.append(tuple(vec))
+    return basis
+
+
+def assert_rational_canonical(value):
+    assert type(value) is int or (type(value) is Fraction and value.denominator > 1), repr(value)
+
+
+def _entry(rng, kind):
+    if kind == "height":
+        return Fraction(rng.randint(-HEIGHT, HEIGHT), rng.randint(1, HEIGHT))
+    if kind == "sparse" and rng.random() < 0.6:
+        return 0
+    if rng.random() < 0.3:
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+    return rng.randint(-9, 9)
+
+
+def _random_rational_matrix(rng, index):
+    """Matrix number index of a stream cycling through six kinds of input."""
+    kind = ("small", "height", "deficient", "zeros", "swaps", "sparse")[index % 6]
+    nrows, ncols = rng.randint(1, 7), rng.randint(1, 7)
+    if index % 4 == 0:
+        ncols = nrows  # square, so that det_rref is exercised
+    rows = [[_entry(rng, kind) for _ in range(ncols)] for _ in range(nrows)]
+    if kind == "deficient" and nrows > 1:
+        basis = rows[: rng.randint(1, nrows - 1)]
+        rows = [[sum((rng.randint(-3, 3) * b[j] for b in basis), Fraction(0))
+                 for j in range(ncols)] for _ in range(nrows)]
+    elif kind == "zeros":
+        rows[rng.randrange(nrows)] = [0] * ncols
+        column = rng.randrange(ncols)
+        for row in rows:
+            row[column] = 0
+    elif kind == "swaps":
+        for k, row in enumerate(rows):
+            for j in range(min(k + 1, ncols)):
+                if rng.random() < 0.7:
+                    row[j] = 0  # leading zeros push the pivots down
+        rng.shuffle(rows)
+    return rows
+
+
+def test_integer_elimination_matches_field_reference():
+    rng = random.Random(41)
+    seen = {"deficient": 0, "swapped": 0, "square": 0, "tall": 0, "wide": 0,
+            "zero row": 0, "zero column": 0}
+    for index in range(240):
+        rows = _random_rational_matrix(rng, index)
+        m = ScalarMatrix.from_rows(rows)
+        entries = [list(row) for row in m.entries]
+        _, pivots, scale, swaps = reference_rref(entries)
+        seen["deficient"] += len(pivots) < min(m.rows, m.cols)
+        seen["swapped"] += swaps > 0
+        seen["square" if m.rows == m.cols else "tall" if m.rows > m.cols else "wide"] += 1
+        seen["zero row"] += any(not any(row) for row in entries)
+        seen["zero column"] += any(not any(col) for col in zip(*entries))
+
+        assert rank(m) == len(pivots)
+        kernel = kernel_basis(m)
+        assert kernel == reference_kernel(entries)
+        for vector in kernel:
+            for value in vector:
+                assert_rational_canonical(value)
+        if m.rows == m.cols:
+            det = det_rref(m)
+            assert det == (normalize(scale) if len(pivots) == m.rows else 0)
+            assert det == naive_det(entries)
+            assert_rational_canonical(det)
+    assert min(seen.values()) >= 10, seen
+
+
+def test_integer_elimination_at_height():
+    rng = random.Random(43)
+    for n in (6, 7):
+        rows = [[_entry(rng, "height") for _ in range(6)] for _ in range(n)]
+        m = ScalarMatrix.from_rows(rows)
+        assert rank(m) == 6
+        assert kernel_basis(m) == []
+        assert kernel_basis(m.transpose()) == reference_kernel([list(c) for c in zip(*rows)])
+    square = ScalarMatrix.from_rows(rows[:6])
+    _, _, scale, _ = reference_rref([list(r) for r in square.entries])
+    assert det_rref(square) == scale
+
+
+def _rotation_shift(eigenvalue):
+    reg = wm.chart_registry()
+    action = wm.rotation_matrix(wm.SIGMA, reg, wm.multilinear_monomials(reg))
+    return ScalarMatrix.from_rows(
+        [[action.at(i, j) - (eigenvalue if i == j else 0) for j in range(16)]
+         for i in range(16)])
+
+
+def _refuse(*_args):
+    raise AssertionError("wrong elimination path")
+
+
+@pytest.mark.parametrize("eigenvalue", [IMAG_UNIT, -IMAG_UNIT], ids=["+i", "-i"])
+def test_gaussian_shift_matrices_take_the_field_path(eigenvalue, monkeypatch):
+    shifted = _rotation_shift(eigenvalue)
+    monkeypatch.setattr(linalg, "_rref_integer", _refuse)
+    kernel = kernel_basis(shifted)
+    assert kernel == reference_kernel([list(row) for row in shifted.entries])
+    assert len(kernel) == 3 and rank(shifted) == 13
+
+
+@pytest.mark.parametrize("eigenvalue", [1, -1])
+def test_real_shift_matrices_take_the_integer_path(eigenvalue, monkeypatch):
+    shifted = _rotation_shift(eigenvalue)
+    monkeypatch.setattr(linalg, "_rref_field", _refuse)
+    kernel = kernel_basis(shifted)
+    assert kernel == reference_kernel([list(row) for row in shifted.entries])
+    assert len(kernel) == (6 if eigenvalue == 1 else 4)

@@ -180,6 +180,19 @@ def test_diagonal_forms_exact():
     assert wm.restrict_to_diagonal(g["a4"]) == s ** 2 + t ** 2
     assert wm.restrict_to_diagonal(g["a1"]) == 2 * (s + t)
     assert wm.restrict_to_diagonal(g["a2"]) == 4 * (s * t)
+    assert wm.diagonal_generators() == {name: wm.restrict_to_diagonal(g[name])
+                                        for name in wm.INVARIANT_NAMES}
+
+
+def test_diagonal_checks_restrict_nothing_per_call(monkeypatch):
+    wm.diagonal_generators()  # the one restriction of a1..a6
+
+    def refuse(_poly):
+        raise AssertionError("restricted again")
+
+    monkeypatch.setattr(wm, "restrict_to_diagonal", refuse)
+    assert wm.verify_diagonal().base_point_free
+    assert wm.fixed_point_free_check(WITNESS) == wm.CERTIFIED_EMPTY
 
 
 def test_diagonal_base_point_free():
@@ -339,7 +352,7 @@ def test_fixed_point_free_inconclusive_when_diagonal_is_hit():
     hitting = wm.CoefficientTriple.from_rationals(
         [Fraction(1, 2), 0, 0, Fraction(1, 4), 0, 0, Fraction(1, 4), 0, 0])
     equations = [wm.restrict_to_diagonal(eq)
-                 for eq in wm._elimination_equations(hitting)]
+                 for eq in wm._elimination_equations(hitting, wm.generators())]
     point = {"s": 1, "t": 1}
     assert all(eq.evaluate(point) == 0 for eq in equations)
     assert wm.fixed_point_free_check(hitting) == wm.INCONCLUSIVE

@@ -15,7 +15,6 @@ given seed is identical on every platform and Python version.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
@@ -66,14 +65,14 @@ class CertificateMismatch(AssertionError):
         self.recomputed = recomputed
 
 
-@dataclass
 class SeededSampler:
     """Deterministic SplitMix64 stream of coefficient triples."""
 
-    seed: int
+    __slots__ = ("seed", "_state")
 
-    def __post_init__(self) -> None:
-        self._state = self.seed & _MASK64
+    def __init__(self, seed: int):
+        self.seed = seed
+        self._state = seed & _MASK64
 
     def next_uint64(self) -> int:
         self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
@@ -93,25 +92,39 @@ class SeededSampler:
         return CoefficientTriple.from_rationals([self.next_int() for _ in range(9)])
 
 
-@dataclass
 class Certificate:
     """Machine-checkable record of every verdict for one pipeline run."""
 
-    tool_version: str
-    seed: int
-    identity_verdicts: "dict[str, str]"          # name -> "Pass" | "Fail"
-    eigenspace_dims: "tuple[int, int, int, int]"
-    diagonal_factors: "tuple[int | Fraction, ...]"
-    chow_coefficient: int
-    genus: int
-    det_m_at_origin: Fraction
-    det_m_term_count: int
-    det_m_nonzero: bool
-    witness_triple: "CoefficientTriple | None"
-    witness_det_m: "Fraction | None"
-    witness_quadric_kernel_dim: "int | None"
-    fixed_point_free: "str | None"               # CertifiedEmpty | Inconclusive
-    overall: str                                 # "Pass" | "Fail"
+    __slots__ = ("tool_version", "seed", "identity_verdicts", "eigenspace_dims",
+                 "diagonal_factors", "chow_coefficient", "genus", "det_m_at_origin",
+                 "det_m_term_count", "det_m_nonzero", "witness_triple", "witness_det_m",
+                 "witness_quadric_kernel_dim", "fixed_point_free", "overall")
+
+    def __init__(self, tool_version: str, seed: int,
+                 identity_verdicts: "dict[str, str]",
+                 eigenspace_dims: "tuple[int, int, int, int]",
+                 diagonal_factors: "tuple[int | Fraction, ...]",
+                 chow_coefficient: int, genus: int, det_m_at_origin: Fraction,
+                 det_m_term_count: int, det_m_nonzero: bool,
+                 witness_triple: "CoefficientTriple | None",
+                 witness_det_m: "Fraction | None",
+                 witness_quadric_kernel_dim: "int | None",
+                 fixed_point_free: "str | None", overall: str):
+        self.tool_version = tool_version
+        self.seed = seed
+        self.identity_verdicts = identity_verdicts    # name -> "Pass" | "Fail"
+        self.eigenspace_dims = eigenspace_dims
+        self.diagonal_factors = diagonal_factors
+        self.chow_coefficient = chow_coefficient
+        self.genus = genus
+        self.det_m_at_origin = det_m_at_origin
+        self.det_m_term_count = det_m_term_count
+        self.det_m_nonzero = det_m_nonzero
+        self.witness_triple = witness_triple
+        self.witness_det_m = witness_det_m
+        self.witness_quadric_kernel_dim = witness_quadric_kernel_dim
+        self.fixed_point_free = fixed_point_free      # CertifiedEmpty | Inconclusive
+        self.overall = overall                        # "Pass" | "Fail"
 
     def to_json_dict(self) -> "dict[str, object]":
         doc: dict[str, object] = {

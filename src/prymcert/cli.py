@@ -9,7 +9,9 @@ Grammar (LL(1), whitespace-insensitive):
     rational := int ("/" uint)?             # sign only on the numerator
 
 "i" is the imaginary unit, never a variable.  Parse errors carry the
-line and column and the tokens that would have been accepted.
+line and column and the tokens that would have been accepted.  Hostile
+input is bounded: parentheses nest at most MAX_NESTING deep, and a power
+whose size bound exceeds MAX_POWER_SIZE is refused before it is computed.
 
 Subcommands (exit 0 iff the requested verdicts all pass, 1 on a failed
 check, 2 on usage errors):
@@ -30,37 +32,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import Sequence
 
-from .certify import (
-    Certificate,
-    CertificateMismatch,
-    MissingWitness,
-    WitnessRejected,
-    run_pipeline,
-    verify_certificate,
-)
-from .exactnum import IMAG_UNIT, rational_from_text
+from .exactnum import IMAG_UNIT, GaussianRational, rational_from_text
 from .multipoly import Polynomial, UnknownVariable, VariableRegistry
-from .weil_model import (
-    CERTIFIED_EMPTY,
-    CoefficientTriple,
-    EigenbasisMismatch,
-    EIGENVALUE_LABELS,
-    IdentityFailed,
-    BasePointFound,
-    KernelNotUnique,
-    check_identities,
-    determinant_at,
-    eigen_decomposition,
-    elimination_determinant,
-    fixed_point_free_check,
-    genus_check,
-    vanishing_quadric,
-    verify_diagonal,
-)
+
+# The certify and weil_model modules are imported by the subcommands that
+# use them, so that `parse` does not pay for loading them.
 
 
 class ParseError(ValueError):
@@ -80,50 +60,61 @@ class ParseError(ValueError):
 # AST
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class RationalLiteral:
-    value: Fraction
+    __slots__ = ("value",)
+
+    def __init__(self, value: Fraction):
+        self.value = value
 
 
-@dataclass(frozen=True)
 class ImaginaryUnit:
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class VariableReference:
-    name: str
-    line: int
-    column: int
+    __slots__ = ("name", "line", "column")
+
+    def __init__(self, name: str, line: int, column: int):
+        self.name = name
+        self.line = line
+        self.column = column
 
 
-@dataclass(frozen=True)
-class Sum:
-    left: object
-    right: object
+class _Binary:
+    """A node with two operands; Sum, Difference and Product add nothing."""
+
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: object, right: object):
+        self.left = left
+        self.right = right
 
 
-@dataclass(frozen=True)
-class Difference:
-    left: object
-    right: object
+class Sum(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Product:
-    left: object
-    right: object
+class Difference(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
+class Product(_Binary):
+    __slots__ = ()
+
+
 class Power:
-    base: object
-    exponent: int
+    __slots__ = ("base", "exponent")
+
+    def __init__(self, base: object, exponent: int):
+        self.base = base
+        self.exponent = exponent
 
 
-@dataclass(frozen=True)
 class Group:
-    inner: object
+    __slots__ = ("inner",)
+
+    def __init__(self, inner: object):
+        self.inner = inner
 
 
 # ---------------------------------------------------------------------------
@@ -133,12 +124,14 @@ class Group:
 _PUNCT = set("+-*^/()")
 
 
-@dataclass(frozen=True)
 class _Token:
-    kind: str       # "int", "ident", one of + - * ^ / ( ), or "end"
-    text: str
-    line: int
-    column: int
+    __slots__ = ("kind", "text", "line", "column")
+
+    def __init__(self, kind: str, text: str, line: int, column: int):
+        self.kind = kind  # "int", "ident", one of + - * ^ / ( ), or "end"
+        self.text = text
+        self.line = line
+        self.column = column
 
 
 def _tokenize(text: str) -> "list[_Token]":
@@ -184,10 +177,15 @@ def _tokenize(text: str) -> "list[_Token]":
 # parser
 # ---------------------------------------------------------------------------
 
+MAX_NESTING = 100
+"""Deepest parenthesis nesting the parser accepts (it recurses once per level)."""
+
+
 class _Parser:
     def __init__(self, tokens: "list[_Token]"):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -238,8 +236,13 @@ class _Parser:
     def base(self) -> object:
         tok = self.peek()
         if tok.kind == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}",
+                                 tok.line, tok.column)
             self.advance()
+            self.depth += 1
             inner = self.expr()
+            self.depth -= 1
             self.expect(")", (")",))
             return Group(inner)
         if tok.kind == "-":  # signed integer literal: only inside rational
@@ -272,8 +275,57 @@ def parse_expression(text: str) -> object:
     return _Parser(_tokenize(text)).parse()
 
 
+MAX_POWER_SIZE = 1 << 20
+"""Largest size (terms times coefficient bits) a power may be bounded by."""
+
+
+def _coefficient_bits(value) -> int:
+    if type(value) is GaussianRational:
+        return _coefficient_bits(value.re) + _coefficient_bits(value.im)
+    return value.numerator.bit_length() + value.denominator.bit_length()
+
+
+def power_size_bound(base: Polynomial, exponent: int) -> int:
+    """An upper bound on the size of base ** exponent, found without computing it.
+
+    Size is terms times coefficient bits.  A monomial's power has one
+    term; otherwise the result has at most as many terms as there are
+    monomials of degree <= degree(base) * exponent in the variables base
+    uses.  Each coefficient is a sum of at most t^exponent products of
+    exponent coefficients of base (t terms), so its bit length is at most
+    exponent * (largest coefficient bits + bits of t).
+    """
+    terms = base.terms()
+    count = 1
+    if len(terms) > 1:
+        used = sum(1 for k in range(len(base.registry)) if any(m[k] for m, _ in terms))
+        count = comb(used + base.total_degree() * exponent, used)
+    bits = max((_coefficient_bits(c) for _, c in terms), default=0)
+    return count * exponent * (bits + len(terms).bit_length())
+
+
 def lower(node: object, registry: VariableRegistry) -> Polynomial:
-    """Lower an AST to a Polynomial in the given registry."""
+    """Lower an AST to a Polynomial in the given registry.
+
+    ValueError, before any work, for a power whose size bound exceeds
+    MAX_POWER_SIZE.  Chains of sums, differences and products are
+    left-deep trees, walked along their left spine without recursion.
+    """
+    if isinstance(node, _Binary):
+        spine = []
+        while isinstance(node, _Binary):
+            spine.append(node)
+            node = node.left
+        value = lower(node, registry)
+        for op in reversed(spine):
+            right = lower(op.right, registry)
+            if isinstance(op, Sum):
+                value = value + right
+            elif isinstance(op, Difference):
+                value = value - right
+            else:
+                value = value * right
+        return value
     if isinstance(node, RationalLiteral):
         return Polynomial.constant(registry, node.value)
     if isinstance(node, ImaginaryUnit):
@@ -284,14 +336,12 @@ def lower(node: object, registry: VariableRegistry) -> Polynomial:
                 f"unknown variable {node.name!r} at line {node.line}, "
                 f"column {node.column} (registry {registry.names})")
         return Polynomial.variable(registry, node.name)
-    if isinstance(node, Sum):
-        return lower(node.left, registry) + lower(node.right, registry)
-    if isinstance(node, Difference):
-        return lower(node.left, registry) - lower(node.right, registry)
-    if isinstance(node, Product):
-        return lower(node.left, registry) * lower(node.right, registry)
     if isinstance(node, Power):
-        return lower(node.base, registry) ** node.exponent
+        base = lower(node.base, registry)
+        if power_size_bound(base, node.exponent) > MAX_POWER_SIZE:
+            raise ValueError(f"power too large to compute: its size bound exceeds "
+                             f"{MAX_POWER_SIZE} (terms times coefficient bits)")
+        return base ** node.exponent
     if isinstance(node, Group):
         return lower(node.inner, registry)
     raise TypeError(f"not an AST node: {node!r}")
@@ -312,7 +362,9 @@ def _emit_json(doc: dict) -> None:
     print(json.dumps(doc, indent=2))
 
 
-def _parse_triple(text: str) -> CoefficientTriple:
+def _parse_triple(text: str):
+    from .weil_model import CoefficientTriple
+
     parts = text.split(",")
     if len(parts) != 9:
         raise ValueError(f"need 9 comma-separated rationals, got {len(parts)}")
@@ -320,6 +372,17 @@ def _parse_triple(text: str) -> CoefficientTriple:
 
 
 def _cmd_verify(args) -> int:
+    from .weil_model import (
+        EIGENVALUE_LABELS,
+        BasePointFound,
+        EigenbasisMismatch,
+        IdentityFailed,
+        check_identities,
+        eigen_decomposition,
+        genus_check,
+        verify_diagonal,
+    )
+
     if args.check == "identities":
         verdicts = check_identities()
         if args.json:
@@ -378,6 +441,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_detm(args) -> int:
+    from .weil_model import CoefficientTriple, determinant_at, elimination_determinant
+
     if args.symbolic:
         det = elimination_determinant()
         if args.json:
@@ -404,6 +469,8 @@ def _cmd_detm(args) -> int:
 
 
 def _cmd_quadric(args) -> int:
+    from .weil_model import KernelNotUnique, vanishing_quadric
+
     try:
         triple = _parse_triple(args.at)
     except ValueError as exc:
@@ -427,6 +494,8 @@ def _cmd_quadric(args) -> int:
 
 
 def _cmd_fpf(args) -> int:
+    from .weil_model import CERTIFIED_EMPTY, fixed_point_free_check
+
     try:
         triple = _parse_triple(args.at)
     except ValueError as exc:
@@ -448,11 +517,21 @@ def _cmd_certify(args) -> int:
         print(f"error: --max-attempts must be non-negative, got {args.max_attempts}",
               file=sys.stderr)
         return 2
-    cert = run_pipeline(args.seed, args.max_attempts)
-    text = cert.to_json()
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+    try:  # a path that cannot be written fails before the pipeline runs
+        out = open(args.out, "w", encoding="utf-8") if args.out else None
+    except OSError as exc:
+        print(f"error: cannot write certificate: {exc}", file=sys.stderr)
+        return 2
+    from .certify import run_pipeline
+
+    try:
+        cert = run_pipeline(args.seed, args.max_attempts)
+        text = cert.to_json()
+        if out is not None:
+            out.write(text)
+    finally:
+        if out is not None:
+            out.close()
     if args.json:
         sys.stdout.write(text)
     else:
@@ -480,6 +559,14 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_recheck(args) -> int:
+    from .certify import (
+        Certificate,
+        CertificateMismatch,
+        MissingWitness,
+        WitnessRejected,
+        verify_certificate,
+    )
+
     try:
         with open(args.cert, "r", encoding="utf-8") as handle:
             cert = Certificate.from_json(handle.read())
@@ -505,14 +592,14 @@ def _cmd_parse(args) -> int:
     names = tuple(n.strip() for n in args.vars.split(",") if n.strip())
     try:
         registry = VariableRegistry(names)
-        poly = parse_poly(args.expr, registry)
+        text = parse_poly(args.expr, registry).render()  # ValueError past 4300 digits
     except (ParseError, UnknownVariable, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.json:
-        _emit_json({"polynomial": poly.render()})
+        _emit_json({"polynomial": text})
     else:
-        print(poly.render())
+        print(text)
     return 0
 
 

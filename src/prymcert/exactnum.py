@@ -12,9 +12,13 @@ forms:
 Gaussian arithmetic returns the real form as soon as an imaginary part
 cancels, and compares and hashes equal to the real number it denotes, so
 two equal values have one representation and polynomial equality
-reduces to coefficient comparison.  No floating point is used anywhere:
-`int / int` is a float in Python, so every coefficient division goes
-through `quotient`.
+reduces to coefficient comparison.  In the package, i occurs only in the
+named generators, the identity suite, the eigenvalues of the rotation
+and parsed input; linalg's elimination refuses it.  GaussianRational is
+a plain class with __slots__ whose instances are immutable (Frozen, the
+base shared with the value types of weil_model).  No floating point is
+used anywhere: `int / int` is a float in Python, so every coefficient
+division goes through `quotient`.
 
 Textual form: a rational renders as ``p`` or ``p/q``; a Gaussian rational
 renders as e.g. ``1/2-3/4*i``.  The rendering is decimal-free and is
@@ -23,7 +27,6 @@ accepted back by the expression grammar of the cli module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
@@ -47,8 +50,28 @@ def rational_to_text(value: Fraction) -> str:
     return str(value)
 
 
-@dataclass(frozen=True, eq=False)
-class GaussianRational:
+_new_object = object.__new__
+_set_field = object.__setattr__
+
+
+class Frozen:
+    """Base of the immutable value types: attributes are set once, in
+    __init__ through object.__setattr__, and never again."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, which takes the slots in order
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+
+class GaussianRational(Frozen):
     """An element re + im*i of Q(i), the field of Gaussian rationals.
 
     Arithmetic results with a zero imaginary part come back as an int or
@@ -56,14 +79,14 @@ class GaussianRational:
     like) its real part.
     """
 
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
+    __slots__ = ("re", "im")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.re, Fraction):
-            object.__setattr__(self, "re", Fraction(self.re))
-        if not isinstance(self.im, Fraction):
-            object.__setattr__(self, "im", Fraction(self.im))
+    def __init__(self, re: "Fraction | int" = 0, im: "Fraction | int" = 0):
+        _set_field(self, "re", re if isinstance(re, Fraction) else Fraction(re))
+        _set_field(self, "im", im if isinstance(im, Fraction) else Fraction(im))
+
+    def __repr__(self) -> str:
+        return f"GaussianRational({self.re!r}, {self.im!r})"
 
     # -- comparison ----------------------------------------------------------
 
@@ -164,10 +187,6 @@ class GaussianRational:
 
     def __str__(self) -> str:
         return self.to_text()
-
-
-_new_object = object.__new__
-_set_field = object.__setattr__
 
 
 def _gaussian(re: Fraction, im: Fraction):

@@ -1,19 +1,19 @@
-"""Exact linear algebra over Q, Q(i) and polynomial rings.
+"""Exact linear algebra over Q and over polynomial rings.
 
 ScalarMatrix holds exact numbers in the form exactnum.normalize gives
-(int, Fraction, or GaussianRational only where i occurs) and supports
-rank, right kernel bases and determinants, all from one exact
-Gauss-Jordan pass.  The entry types choose the arithmetic of that pass:
-a matrix over Q has each row cleared of denominators and content
-(exactnum.primitive) and is eliminated fraction-free over Z, each
-combined row made primitive again and the row multipliers recorded for
-the determinant; the only divisions are the final ones by the pivots.
-A matrix with a GaussianRational entry (the eigenspaces for +i and -i)
-is eliminated over the field Q(i) with unit pivots.  Both give the same
-reduced row echelon form, so the same ranks, kernels and determinants.
+(int, Fraction, or GaussianRational where i occurs).  rank, right kernel
+bases and det_rref work over Q only, all from one fraction-free
+Gauss-Jordan pass over Z: each row is cleared of denominators and
+content (exactnum.primitive), each combined row is made primitive again
+and the row multipliers are recorded for the determinant; the only
+divisions are the final ones by the pivots.  A GaussianRational entry is
+refused with a TypeError that names it: no matrix over Q(i) reaches this
+pass (the eigenspaces of the rotation come from sigma-orbits instead,
+see weil_model.eigen_decomposition).
 PolyMatrix holds ring elements (polynomials, or any type with +, -, *,
 **0 and bool) and gets its determinant by cofactor expansion along the
-rows, memoized over the set of columns each trailing minor uses.  The
+rows, memoized over the set of columns each trailing minor uses; that
+expansion is generic, so it also takes a ScalarMatrix over Q(i).  The
 largest matrix in use is the 9x9 full elimination matrix, where the
 expansion visits at most 2^9 minors.
 """
@@ -61,7 +61,8 @@ class _MatrixBase:
 
 
 class ScalarMatrix(_MatrixBase):
-    """Dense matrix of exact numbers (int, Fraction or GaussianRational)."""
+    """Dense matrix of exact numbers (int, Fraction or GaussianRational);
+    rank, kernel_basis and det_rref take it over Q only."""
 
     def __init__(self, entries):
         entries = tuple(tuple(normalize(e) for e in row) for row in entries)
@@ -88,30 +89,27 @@ class PolyMatrix(_MatrixBase):
         return [[fn(e) for e in row] for row in self.entries]
 
 
-def _rref(matrix: ScalarMatrix) -> "tuple[list[list], list[tuple[int, int]], Coefficient]":
-    """Gauss-Jordan form (copy), pivot (row, col) positions, and determinant factor.
+def _rref(matrix: ScalarMatrix) -> "tuple[list[list[int]], list[tuple[int, int]], Coefficient]":
+    """Fraction-free Gauss-Jordan over Z: reduced rows, pivot (row, col)
+    positions, and determinant factor.
 
     Every pivot column is zero outside its pivot row; a pivot entry need
     not be 1, so the reduced row echelon form is row r divided by its
     pivot.  For a square matrix of full rank the factor is the
-    determinant.  A matrix over Q is eliminated over Z; one with a
-    GaussianRational entry (i occurs) over the field Q(i).
-    """
-    if any(type(e) is GaussianRational for row in matrix.entries for e in row):
-        return _rref_field(matrix)
-    return _rref_integer(matrix)
-
-
-def _rref_integer(matrix: ScalarMatrix) -> "tuple[list[list[int]], list[tuple[int, int]], Coefficient]":
-    """Fraction-free Gauss-Jordan over Z on rows made primitive.
-
-    Each row is cleared of denominators and content (exactnum.primitive)
-    at the start and after every combination.  num and den record the row
-    multipliers, so that det(matrix) * num == det(a) * den throughout.
+    determinant.  Each row is cleared of denominators and content
+    (exactnum.primitive) at the start and after every combination; num
+    and den record the row multipliers, so that
+    det(matrix) * num == det(a) * den throughout.  TypeError names the
+    first entry outside Q.
     """
     a = []
     num = den = 1
-    for row in matrix.entries:
+    for i, row in enumerate(matrix.entries):
+        kinds = list(map(type, row))
+        if GaussianRational in kinds:
+            j = kinds.index(GaussianRational)
+            raise TypeError(f"entry ({i}, {j}) = {row[j]} is not rational: "
+                            f"rank, kernel_basis and det_rref work over Q only")
         ints, scale, content = primitive(row)
         a.append(ints)
         num *= scale
@@ -142,34 +140,6 @@ def _rref_integer(matrix: ScalarMatrix) -> "tuple[list[list[int]], list[tuple[in
             break
     det = quotient(prod(a[i][j] for i, j in pivots) * den, num)
     return a, pivots, det
-
-
-def _rref_field(matrix: ScalarMatrix) -> "tuple[list[list], list[tuple[int, int]], Coefficient]":
-    """Gauss-Jordan over the field, with unit pivots."""
-    a = [list(row) for row in matrix.entries]
-    nrows, ncols = matrix.rows, matrix.cols
-    pivots: list[tuple[int, int]] = []
-    scale = 1
-    r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, nrows) if a[i][c]), None)
-        if pivot_row is None:
-            continue
-        if pivot_row != r:
-            a[r], a[pivot_row] = a[pivot_row], a[r]
-            scale = -scale
-        scale = scale * a[r][c]
-        inv = quotient(1, a[r][c])
-        a[r] = [e * inv for e in a[r]]
-        for i in range(nrows):
-            if i != r and a[i][c]:
-                factor = a[i][c]
-                a[i] = [x - factor * y for x, y in zip(a[i], a[r])]
-        pivots.append((r, c))
-        r += 1
-        if r == nrows:
-            break
-    return a, pivots, scale
 
 
 def rank(matrix: ScalarMatrix) -> int:

@@ -6,8 +6,11 @@ the rotation sigma acts on it with eigenvalues 1, -1, i, -i and named
 eigenvectors a1..a6, b1..b4, c1..c3, d1..d3.  This module certifies, in
 exact arithmetic:
 
-  * the eigenspace decomposition of the rotation sigma on V (the test
-    suite also checks the dihedral relations sigma^4 = tau^2 = 1,
+  * the eigenspace decomposition of the rotation sigma on V: sigma
+    permutes the 16 multilinear monomials, each eigenspace has one
+    orbit-sum basis vector per sigma-orbit whose size k has lambda^k = 1,
+    and the named generators are matched to it without elimination (the
+    test suite also checks the dihedral relations sigma^4 = tau^2 = 1,
     tau*sigma*tau = sigma^-1 with the involution tau swapping s and x,
     but no verdict rests on them);
   * the 17 product identities: the unique cubic relation among a1..a6,
@@ -36,13 +39,20 @@ c1 = s - i*t - x + i*y is multiplied by +i.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 from typing import Iterable, Mapping, Sequence
 
-from .exactnum import Coefficient, GaussianRational, IMAG_UNIT, Rational, primitive, quotient
+from .exactnum import (
+    Coefficient,
+    Frozen,
+    GaussianRational,
+    IMAG_UNIT,
+    Rational,
+    primitive,
+    quotient,
+)
 from .linalg import (
     PolyMatrix,
     ScalarMatrix,
@@ -106,11 +116,21 @@ def chart_registry() -> VariableRegistry:
 # group elements
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GroupElement:
+class GroupElement(Frozen):
     """A permutation of the chart variables, acting on polynomials by substitution."""
 
-    mapping: "tuple[tuple[str, str], ...]"
+    __slots__ = ("mapping",)
+
+    def __init__(self, mapping: "tuple[tuple[str, str], ...]"):
+        object.__setattr__(self, "mapping", mapping)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not GroupElement:
+            return NotImplemented
+        return self.mapping == other.mapping
+
+    def __hash__(self) -> int:
+        return hash(self.mapping)
 
     @classmethod
     def from_dict(cls, mapping: Mapping[str, str]) -> "GroupElement":
@@ -139,6 +159,18 @@ def apply_group(g: GroupElement, poly: Polynomial) -> Polynomial:
     reg = poly.registry
     bindings = {v: Polynomial.variable(reg, img) for v, img in g.mapping if v != img}
     return poly.substitute(bindings)
+
+
+def permute_monomial(g: GroupElement, mono: Monomial) -> Monomial:
+    """The image of a chart monomial under g, as an exponent tuple.
+
+    The substitution v -> img moves the exponent of v to img, so this is
+    apply_group on one monomial without building polynomials.
+    """
+    image = [0] * len(CHART_VARS)
+    for v, img in g.mapping:
+        image[CHART_VARS.index(img)] = mono[CHART_VARS.index(v)]
+    return tuple(image)
 
 
 # ---------------------------------------------------------------------------
@@ -184,19 +216,18 @@ _EIGEN_GROUPS = {
     "-i": ("d1", "d2", "d3"),
 }
 
-_EIGENVALUES = {
-    "+1": 1,
-    "-1": -1,
-    "+i": IMAG_UNIT,
-    "-i": -IMAG_UNIT,
-}
+_POWERS_OF_I = (1, IMAG_UNIT, -1, -IMAG_UNIT)
+
+_EIGENVALUE_EXPONENTS = {"+1": 0, "-1": 2, "+i": 1, "-i": 3}  # label -> e, eigenvalue i^e
 
 
-@dataclass(frozen=True)
 class EigenDecomposition:
     """Named eigenbases of the rotation on the 16-dimensional form space."""
 
-    bases: "dict[str, dict[str, Polynomial]]"  # eigenvalue label -> name -> poly
+    __slots__ = ("bases",)
+
+    def __init__(self, bases: "dict[str, dict[str, Polynomial]]"):
+        self.bases = bases  # eigenvalue label -> name -> poly
 
     @property
     def dims(self) -> "tuple[int, int, int, int]":
@@ -219,55 +250,81 @@ def multilinear_monomials(reg: VariableRegistry) -> "list[Monomial]":
     return monos
 
 
-def _coefficient_row(poly: Polynomial, monos: Sequence[Monomial]) -> "list[Coefficient]":
-    return [poly.coefficient(m) for m in monos]
+def sigma_orbits(monos: Sequence[Monomial]) -> "list[tuple[Monomial, ...]]":
+    """The orbits of SIGMA on a sigma-stable list of monomials.
 
-
-def rotation_matrix(g: GroupElement, reg: VariableRegistry,
-                    monos: Sequence[Monomial]) -> ScalarMatrix:
-    """Matrix of the permutation action on the multilinear monomial basis."""
-    index = {m: k for k, m in enumerate(monos)}
-    cols = []
+    Each orbit is listed as m, sigma(m), sigma^2(m), ... from its first
+    monomial in the order of monos.
+    """
+    orbits = []
+    seen: set[Monomial] = set()
     for mono in monos:
-        image = apply_group(g, Polynomial(reg, {mono: 1}))
-        (img_mono, coeff), = image.terms()
-        col = [0] * len(monos)
-        col[index[img_mono]] = coeff
-        cols.append(col)
-    return ScalarMatrix.from_rows(zip(*cols))
+        if mono in seen:
+            continue
+        orbit = [mono]
+        image = permute_monomial(SIGMA, mono)
+        while image != mono:
+            orbit.append(image)
+            image = permute_monomial(SIGMA, image)
+        seen.update(orbit)
+        orbits.append(tuple(orbit))
+    return orbits
+
+
+def orbit_basis(e: int,
+                orbits: "Sequence[tuple[Monomial, ...]]") -> "dict[Monomial, Polynomial]":
+    """A basis of the i^e-eigenspace of the rotation on V, keyed by orbit representative.
+
+    orbits are the sigma-orbits of the multilinear monomials (sigma_orbits).
+    For each orbit (m, sigma(m), ..., sigma^(k-1)(m)) whose size k has
+    i^(e*k) = 1, the orbit sum sum_j i^(-e*j) sigma^j(m) is an
+    i^e-eigenvector (the projection formula for a cyclic group).  Sums
+    over disjoint orbits are independent, and every orbit of size k (k
+    divides 4) serves exactly k of the eigenvalues 1, -1, i, -i, so the
+    four bases hold 16 vectors and each spans its whole eigenspace.  The
+    sum for m has coefficient 1 at m and 0 at every other representative,
+    so the coordinates of an eigenvector in this basis are its
+    coefficients at the keys.
+    """
+    reg = chart_registry()
+    return {orbit[0]: Polynomial(reg, {mono: _POWERS_OF_I[-e * j % 4]
+                                       for j, mono in enumerate(orbit)})
+            for orbit in orbits if e * len(orbit) % 4 == 0}
 
 
 def eigen_decomposition() -> EigenDecomposition:
-    """Compute the eigenspaces of the rotation and match them to the named basis.
+    """Match the named generators to the eigenspaces of the rotation.
 
-    Each eigenspace is found as the exact kernel of (action - eigenvalue),
-    then checked to equal the span of the named generators (rank tests);
+    The alpha-eigenspace is spanned by orbit_basis, whose size is its
+    dimension.  Each named generator g must satisfy sigma(g) = alpha*g
+    as a polynomial identity, and the square matrix of the generators'
+    coordinates at the orbit representatives must have a nonzero
+    determinant, so they are a basis of that eigenspace.
     EigenbasisMismatch is raised on any discrepancy.
     """
     reg = chart_registry()
-    monos = multilinear_monomials(reg)
-    action = rotation_matrix(SIGMA, reg, monos)
+    orbits = sigma_orbits(multilinear_monomials(reg))
+    sigma = {m: orbit[(k + 1) % len(orbit)] for orbit in orbits for k, m in enumerate(orbit)}
     gens = generators()
     bases: dict[str, dict[str, Polynomial]] = {}
     for label in EIGENVALUE_LABELS:
-        alpha = _EIGENVALUES[label]
-        shifted = ScalarMatrix.from_rows(
-            [[action.at(i, j) - (alpha if i == j else 0) for j in range(16)]
-             for i in range(16)])
-        computed = kernel_basis(shifted)
-        named = [_coefficient_row(gens[n], monos) for n in _EIGEN_GROUPS[label]]
-        expected_dim = len(_EIGEN_GROUPS[label])
-        if len(computed) != expected_dim:
+        e = _EIGENVALUE_EXPONENTS[label]
+        alpha = _POWERS_OF_I[e]
+        representatives = list(orbit_basis(e, orbits))
+        names = _EIGEN_GROUPS[label]
+        if len(representatives) != len(names):
             raise EigenbasisMismatch(
-                f"eigenspace {label}: kernel dimension {len(computed)}, "
-                f"expected {expected_dim}")
-        if rank(ScalarMatrix.from_rows(named)) != expected_dim:
+                f"eigenspace {label}: dimension {len(representatives)}, "
+                f"expected {len(names)}")
+        for name in names:
+            rotated = Polynomial(reg, {sigma[m]: c for m, c in gens[name].terms()})
+            if rotated != alpha * gens[name]:
+                raise EigenbasisMismatch(f"named generator {name} is not a {label}-eigenvector")
+        coordinates = ScalarMatrix.from_rows(
+            [[gens[name].coefficient(m) for m in representatives] for name in names])
+        if not det_expansion(coordinates):
             raise EigenbasisMismatch(f"named generators for {label} are dependent")
-        stacked = ScalarMatrix.from_rows(list(computed) + named)
-        if rank(stacked) != expected_dim:
-            raise EigenbasisMismatch(
-                f"eigenspace {label} does not match the span of its named generators")
-        bases[label] = {n: gens[n] for n in _EIGEN_GROUPS[label]}
+        bases[label] = {name: gens[name] for name in names}
     return EigenDecomposition(bases)
 
 
@@ -413,10 +470,12 @@ def _diagonal_reference(reg: VariableRegistry) -> "dict[str, Polynomial]":
     }
 
 
-@dataclass(frozen=True)
 class DiagonalReport:
-    factors: "tuple[int | Fraction, ...]"    # restricted a_k = factor * reference form
-    base_point_free: bool
+    __slots__ = ("factors", "base_point_free")
+
+    def __init__(self, factors: "tuple[int | Fraction, ...]", base_point_free: bool):
+        self.factors = factors  # restricted a_k = factor * reference form
+        self.base_point_free = base_point_free
 
 
 def diagonal_restriction_factors() -> "tuple[int | Fraction, ...]":
@@ -542,13 +601,17 @@ def verify_diagonal() -> DiagonalReport:
 # elimination
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CoefficientTriple:
+class CoefficientTriple(Frozen):
     """Rational coefficients (A1..A3, B1..B3, C1..C3) of the elimination."""
 
-    a: "tuple[Fraction, Fraction, Fraction]"
-    b: "tuple[Fraction, Fraction, Fraction]"
-    c: "tuple[Fraction, Fraction, Fraction]"
+    __slots__ = ("a", "b", "c")
+
+    def __init__(self, a: "tuple[Fraction, Fraction, Fraction]",
+                 b: "tuple[Fraction, Fraction, Fraction]",
+                 c: "tuple[Fraction, Fraction, Fraction]"):
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
 
     @classmethod
     def from_rationals(cls, values: Iterable[Fraction | int]) -> "CoefficientTriple":
@@ -578,7 +641,6 @@ B_PRODUCT_LABELS = ("b1^2", "b2^2", "b3^2", "b1*b3", "b1*b4", "b3*b4", "b4^2")
 B_BASIS_LABELS = ("b1*b2", "b2*b3", "b2*b4")
 
 
-@dataclass(frozen=True)
 class EliminationResult:
     """Everything produced by eliminating a4, a5, a6.
 
@@ -588,14 +650,21 @@ class EliminationResult:
     B_BASIS_LABELS, whose last three rows are unit vectors.
     """
 
-    alpha_basis: "tuple[Monomial, ...]"
-    alpha_labels: "tuple[str, ...]"
-    gamma_labels: "tuple[str, ...]"
-    matrix: PolyMatrix
-    quadric_labels: "tuple[str, ...]"
-    quadric_matrix: PolyMatrix
-    b_basis_labels: "tuple[str, ...]"
-    full_matrix: PolyMatrix
+    __slots__ = ("alpha_basis", "alpha_labels", "gamma_labels", "matrix",
+                 "quadric_labels", "quadric_matrix", "b_basis_labels", "full_matrix")
+
+    def __init__(self, alpha_basis: "tuple[Monomial, ...]", alpha_labels: "tuple[str, ...]",
+                 gamma_labels: "tuple[str, ...]", matrix: PolyMatrix,
+                 quadric_labels: "tuple[str, ...]", quadric_matrix: PolyMatrix,
+                 b_basis_labels: "tuple[str, ...]", full_matrix: PolyMatrix):
+        self.alpha_basis = alpha_basis
+        self.alpha_labels = alpha_labels
+        self.gamma_labels = gamma_labels
+        self.matrix = matrix
+        self.quadric_labels = quadric_labels
+        self.quadric_matrix = quadric_matrix
+        self.b_basis_labels = b_basis_labels
+        self.full_matrix = full_matrix
 
 
 def coefficient_registry() -> VariableRegistry:
@@ -790,10 +859,12 @@ def chow_coefficient(factors: "Sequence[Sequence[int]]") -> int:
     return top
 
 
-@dataclass(frozen=True)
 class GenusReport:
-    chow_coefficient: int
-    genus: int
+    __slots__ = ("chow_coefficient", "genus")
+
+    def __init__(self, chow_coefficient: int, genus: int):
+        self.chow_coefficient = chow_coefficient
+        self.genus = genus
 
 
 def genus_check() -> GenusReport:

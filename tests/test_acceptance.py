@@ -140,10 +140,13 @@ def test_criterion_8_oracle_equivalences():
 
     with _Timer(30.0) as timer:
         # 1. det_rref / det_expansion vs cofactor oracle: 100 scalar + 100 polynomial
+        # (det_expansion over Q(i), det_rref, which works over Q, on the real parts)
         for _ in range(100):
             n = rng.randint(1, 5)
             rows = [[rand_scalar() for _ in range(n)] for _ in range(n)]
-            assert det_rref(ScalarMatrix.from_rows(rows)) == _naive_det(rows)
+            assert det_expansion(ScalarMatrix.from_rows(rows)) == _naive_det(rows)
+            real = [[z.re for z in row] for row in rows]
+            assert det_rref(ScalarMatrix.from_rows(real)) == _naive_det(real)
         for _ in range(100):
             n = rng.randint(1, 5)
             rows = [[rand_poly() for _ in range(n)] for _ in range(n)]

@@ -1,6 +1,5 @@
 """Pipeline determinism, certificate serialization, and re-verification."""
 
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -22,6 +21,13 @@ from prymcert.weil_model import (
     fixed_point_free_check,
     quadric_relation_kernel_dim,
 )
+
+def replace(cert, **changes):
+    """A copy of cert with the given fields set to new values."""
+    fields = {name: getattr(cert, name) for name in Certificate.__slots__}
+    fields.update(changes)
+    return Certificate(**fields)
+
 
 # first triple drawn from seed 0; passes all three witness conditions
 SEED0_WITNESS = (6, 5, 6, -6, 6, -1, -2, -8, -2)

@@ -2,11 +2,17 @@
 
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import prymcert
+from prymcert import certify
 from prymcert.cli import (
     Difference,
     Group,
@@ -17,10 +23,13 @@ from prymcert.cli import (
     RationalLiteral,
     Sum,
     VariableReference,
+    MAX_NESTING,
+    MAX_POWER_SIZE,
     lower,
     main,
     parse_expression,
     parse_poly,
+    power_size_bound,
 )
 from prymcert.certify import run_pipeline
 from prymcert.exactnum import GaussianRational
@@ -320,6 +329,19 @@ def test_recheck_rejects_deeply_nested_json(tmp_path, capsys):
         "error: cannot load certificate: certificate JSON is nested too deeply\n"
 
 
+@pytest.mark.parametrize("target", ["missing-dir", "directory"])
+def test_certify_unwritable_out_is_a_usage_error(target, tmp_path, capsys, monkeypatch):
+    def refuse(*_args):
+        raise AssertionError("the pipeline ran before the output path was checked")
+    monkeypatch.setattr(certify, "run_pipeline", refuse)
+    path = tmp_path / "no" / "such" / "x.json" if target == "missing-dir" else tmp_path
+    assert main(["certify", "--seed", "0", "--out", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot write certificate: ")
+    assert captured.err.count("\n") == 1 and str(path) in captured.err
+
+
 def test_certify_rejects_negative_seed(capsys):
     assert main(["certify", "--seed", "-1", "--max-attempts", "0"]) == 2
     captured = capsys.readouterr()
@@ -347,6 +369,81 @@ def test_parse_subcommand(capsys):
 
     assert main(["parse", "--expr", "s", "--json"]) == 0
     assert json.loads(capsys.readouterr().out) == {"polynomial": "s"}
+
+
+def test_parse_nesting_limit(capsys):
+    nested = "(" * MAX_NESTING + "s" + ")" * MAX_NESTING
+    assert main(["parse", "--expr", nested]) == 0
+    assert capsys.readouterr().out == "s\n"
+    for depth in (MAX_NESTING + 1, 3000):
+        assert main(["parse", "--expr", "(" * depth + "s" + ")" * depth]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: line 1, column {MAX_NESTING + 1}: "
+                                f"parentheses nested deeper than {MAX_NESTING}\n")
+
+
+def test_parse_long_chains(capsys):
+    assert main(["parse", "--expr", "s+" * 3000 + "s"]) == 0
+    assert capsys.readouterr().out == "3001*s\n"
+    assert main(["parse", "--expr", "s*" * 3000 + "s", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"polynomial": "s^3001"}
+
+
+def test_parse_refuses_a_power_too_large_to_compute(capsys, monkeypatch):
+    def refuse(*_args):
+        raise AssertionError("the power was computed")
+    monkeypatch.setattr(Polynomial, "__pow__", refuse)
+    for expr in ("99999999999999999999999^9999999999999", "(s+t+x+y)^100",
+                 "(s + 1/3*i)^100000"):
+        assert main(["parse", "--expr", expr]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: power too large to compute")
+        assert captured.err.count("\n") == 1
+
+
+def test_power_size_bound_admits_ordinary_powers():
+    for text, exponent in [("s", 1000), ("s*t*x*y", 100), ("99999", 1000),
+                           ("s+2", 100), ("s+t+x+y", 12), ("s-i*t+1/2", 20)]:
+        base = parse_poly(text, REG)
+        assert power_size_bound(base, exponent) <= MAX_POWER_SIZE, text
+        power = base ** exponent
+        parts = [p for _, c in power.terms()
+                 for p in ((c.re, c.im) if isinstance(c, GaussianRational) else (c,))]
+        bits = max(Fraction(p).numerator.bit_length() + Fraction(p).denominator.bit_length()
+                   for p in parts)
+        assert power.term_count() * bits <= power_size_bound(base, exponent), text
+
+
+def test_parse_output_too_long_to_render(capsys):
+    assert main(["parse", "--expr", "99999^1000"]) == 2  # 5000 digits
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def _fresh_modules(code: str) -> "set[str]":
+    """The modules a fresh interpreter imports while running code."""
+    src = str(Path(prymcert.__file__).resolve().parents[1])
+    probe = ("import sys\nbefore = set(sys.modules)\n" + code +
+             "\nprint(' '.join(sorted(set(sys.modules) - before)))")
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": src}, timeout=60, check=True)
+    return set(result.stdout.split())
+
+
+def test_cli_import_needs_no_dataclasses():
+    loaded = _fresh_modules("import prymcert.cli")
+    assert "prymcert.cli" in loaded
+    assert "dataclasses" not in loaded
+
+
+def test_parse_loads_neither_certify_nor_weil_model():
+    loaded = _fresh_modules("from prymcert import cli\n"
+                            "assert cli.main(['parse', '--expr', 's']) == 0")
+    assert "prymcert.multipoly" in loaded
+    assert not loaded & {"prymcert.certify", "prymcert.weil_model", "dataclasses"}
 
 
 def test_usage_exit_codes():

@@ -3,9 +3,10 @@
 The determinant oracle here is an independent naive Laplace expansion
 along the first row, written out in this file with no memoization, so
 agreement with det_expansion and det_rref is a genuine dual-route check.
-The elimination over Z behind rank, kernel_basis and det_rref for
-matrices over Q is checked against reference_rref, a field Gauss-Jordan
-with unit pivots written out here.
+The elimination over Z behind rank, kernel_basis and det_rref (which
+work over Q only) is checked against reference_rref, a field Gauss-Jordan
+with unit pivots written out here; over Q(i) the same reference gives
+the eigenspace kernels that the sigma-orbit bases of weil_model must span.
 """
 
 import random
@@ -13,7 +14,6 @@ from fractions import Fraction
 
 import pytest
 
-from prymcert import linalg
 from prymcert import weil_model as wm
 from prymcert.exactnum import IMAG_UNIT, GaussianRational, normalize, quotient
 from prymcert.linalg import (
@@ -88,8 +88,8 @@ def test_rank_nullity_and_kernel_membership():
     for _ in range(100):
         rows = rng.randint(1, 5)
         cols = rng.randint(1, 5)
-        m = ScalarMatrix.from_rows(
-            [[_rand_scalar(rng) for _ in range(cols)] for _ in range(rows)])
+        m = ScalarMatrix.from_rows(  # real parts: rank and kernel_basis work over Q
+            [[_rand_scalar(rng).re for _ in range(cols)] for _ in range(rows)])
         vecs = kernel_basis(m)
         assert rank(m) + len(vecs) == cols
         for v in vecs:
@@ -122,8 +122,20 @@ def test_det_matches_naive_oracle_scalar():
         rows = [[_rand_scalar(rng) for _ in range(n)] for _ in range(n)]
         m = ScalarMatrix.from_rows(rows)
         expected = naive_det([list(r) for r in m.entries])
-        assert det_rref(m) == expected
         assert det_expansion(m) == expected
+        real = ScalarMatrix.from_rows([[z.re for z in row] for row in rows])
+        assert det_rref(real) == naive_det([list(r) for r in real.entries])
+
+
+def test_gaussian_entries_are_refused():
+    m = ScalarMatrix.from_rows([[1, 2], [3, GaussianRational(Fraction(1, 2), 1)]])
+    for routine in (rank, kernel_basis, det_rref):
+        with pytest.raises(TypeError) as err:
+            routine(m)
+        message = str(err.value)
+        assert "\n" not in message
+        assert "(1, 1) = 1/2+i" in message
+    assert det_expansion(m) == naive_det([list(r) for r in m.entries])
 
 
 def test_det_matches_naive_oracle_poly():
@@ -319,30 +331,37 @@ def test_integer_elimination_at_height():
 
 
 def _rotation_shift(eigenvalue):
+    """sigma - eigenvalue on the multilinear monomials, with sigma's matrix
+    built from its substitution action (apply_group)."""
     reg = wm.chart_registry()
-    action = wm.rotation_matrix(wm.SIGMA, reg, wm.multilinear_monomials(reg))
-    return ScalarMatrix.from_rows(
-        [[action.at(i, j) - (eigenvalue if i == j else 0) for j in range(16)]
-         for i in range(16)])
-
-
-def _refuse(*_args):
-    raise AssertionError("wrong elimination path")
-
-
-@pytest.mark.parametrize("eigenvalue", [IMAG_UNIT, -IMAG_UNIT], ids=["+i", "-i"])
-def test_gaussian_shift_matrices_take_the_field_path(eigenvalue, monkeypatch):
-    shifted = _rotation_shift(eigenvalue)
-    monkeypatch.setattr(linalg, "_rref_integer", _refuse)
-    kernel = kernel_basis(shifted)
-    assert kernel == reference_kernel([list(row) for row in shifted.entries])
-    assert len(kernel) == 3 and rank(shifted) == 13
+    monos = wm.multilinear_monomials(reg)
+    index = {m: k for k, m in enumerate(monos)}
+    shift = [[-eigenvalue if i == j else 0 for j in range(16)] for i in range(16)]
+    for j, mono in enumerate(monos):
+        (image, coeff), = wm.apply_group(wm.SIGMA, Polynomial(reg, {mono: 1})).terms()
+        shift[index[image]][j] += coeff
+    return shift
 
 
 @pytest.mark.parametrize("eigenvalue", [1, -1])
-def test_real_shift_matrices_take_the_integer_path(eigenvalue, monkeypatch):
-    shifted = _rotation_shift(eigenvalue)
-    monkeypatch.setattr(linalg, "_rref_field", _refuse)
+def test_real_shift_matrices_take_the_integer_path(eigenvalue):
+    shifted = ScalarMatrix.from_rows(_rotation_shift(eigenvalue))
     kernel = kernel_basis(shifted)
     assert kernel == reference_kernel([list(row) for row in shifted.entries])
     assert len(kernel) == (6 if eigenvalue == 1 else 4)
+
+
+@pytest.mark.parametrize("e, eigenvalue, dimension",
+                         [(0, 1, 6), (2, -1, 4), (1, IMAG_UNIT, 3), (3, -IMAG_UNIT, 3)],
+                         ids=["+1", "-1", "+i", "-i"])
+def test_orbit_bases_span_the_shift_kernels(e, eigenvalue, dimension):
+    shift = _rotation_shift(eigenvalue)
+    reference = reference_kernel(shift)  # field Gauss-Jordan, over Q(i) for +-i
+    monos = wm.multilinear_monomials(wm.chart_registry())
+    basis = wm.orbit_basis(e, wm.sigma_orbits(monos))
+    orbit = [[v.coefficient(m) for m in monos] for v in basis.values()]
+    assert len(orbit) == len(reference) == dimension
+    for vector in orbit:
+        assert all(sum(a * b for a, b in zip(row, vector)) == 0 for row in shift)
+    assert len(reference_rref(orbit)[1]) == len(orbit)  # independent
+    assert len(reference_rref(orbit + [list(v) for v in reference])[1]) == len(orbit)

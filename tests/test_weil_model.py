@@ -1,12 +1,15 @@
 """The model layer: group action, eigenbasis, identities, elimination, genus."""
 
+import copy
 import hashlib
+import pickle
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import pytest
 
+from prymcert import linalg
 from prymcert.exactnum import GaussianRational, IMAG_UNIT
 from prymcert.linalg import ScalarMatrix, det_rref, kernel_basis, rank
 from prymcert.multipoly import Polynomial
@@ -34,6 +37,24 @@ def test_group_relations_as_maps():
     assert tau * sigma * tau == SIGMA_INVERSE
     assert sigma * SIGMA_INVERSE == ident
     assert sigma2 * sigma2 == ident
+
+
+def test_value_types_are_immutable():
+    triple = wm.CoefficientTriple.from_rationals(range(9))
+    values = [(wm.SIGMA, "mapping"), (triple, "a"), (IMAG_UNIT, "re")]
+    for value, field in values:
+        with pytest.raises(AttributeError):
+            setattr(value, field, ())
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+        with pytest.raises(AttributeError):
+            value.extra = 1
+    assert triple.values() == tuple(Fraction(v) for v in range(9))
+    assert len({wm.SIGMA, TAU, wm.SIGMA * wm.IDENTITY, TAU * TAU}) == 3
+    for copier in (copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))):
+        assert copier(wm.SIGMA) == wm.SIGMA
+        assert copier(IMAG_UNIT) == IMAG_UNIT
+        assert copier(triple).values() == triple.values()
 
 
 def test_group_relations_on_all_monomials():
@@ -83,11 +104,75 @@ def test_eigen_dimensions():
 
 
 def test_named_generators_span_v():
+    # d_k is c_k with i replaced by -i, so c_k + d_k and i*(d_k - c_k) are
+    # rational and span what c_k and d_k span; rank works over Q
     reg = wm.chart_registry()
     monos = wm.multilinear_monomials(reg)
-    g = wm.generators()
+    g = dict(wm.generators())
+    for k in "123":
+        c, d = g.pop("c" + k), g.pop("d" + k)
+        g["c" + k + "+d" + k] = c + d
+        g["i*(d" + k + "-c" + k + ")"] = IMAG_UNIT * (d - c)
     rows = [[poly.coefficient(m) for m in monos] for poly in g.values()]
+    assert all(type(v) is int for row in rows for v in row)
     assert rank(ScalarMatrix.from_rows(rows)) == 16
+
+
+def test_permute_monomial_matches_apply_group():
+    reg = wm.chart_registry()
+    for g in (wm.SIGMA, TAU, SIGMA_INVERSE):
+        for mono in wm.multilinear_monomials(reg):
+            assert Polynomial(reg, {wm.permute_monomial(g, mono): 1}) == \
+                wm.apply_group(g, Polynomial(reg, {mono: 1}))
+
+
+def test_sigma_orbits():
+    monos = wm.multilinear_monomials(wm.chart_registry())
+    orbits = wm.sigma_orbits(monos)
+    assert sorted(len(orbit) for orbit in orbits) == [1, 1, 2, 4, 4, 4]
+    assert sorted(m for orbit in orbits for m in orbit) == sorted(monos)
+    for orbit in orbits:
+        assert orbit[0] == min(orbit, key=monos.index)
+        for k, mono in enumerate(orbit):
+            assert wm.permute_monomial(wm.SIGMA, mono) == orbit[(k + 1) % len(orbit)]
+
+
+def test_eigen_decomposition_runs_no_elimination(monkeypatch):
+    def refuse(*_args):
+        raise AssertionError("eigenspaces need no elimination")
+    for name in ("rank", "kernel_basis"):
+        monkeypatch.setattr(wm, name, refuse)
+    monkeypatch.setattr(linalg, "_rref", refuse)
+    assert wm.eigen_decomposition().dims == (6, 4, 3, 3)
+
+
+def _with_generators(monkeypatch, **changes):
+    gens = dict(wm.generators(), **changes)
+    monkeypatch.setattr(wm, "generators", lambda: gens)
+
+
+def test_eigenbasis_mismatch_not_an_eigenvector(monkeypatch, capsys):
+    from prymcert.cli import main
+
+    g = wm.generators()
+    _with_generators(monkeypatch, c2=g["c2"] + g["d2"])
+    with pytest.raises(wm.EigenbasisMismatch, match=r"c2 is not a \+i-eigenvector"):
+        wm.eigen_decomposition()
+    assert main(["verify", "eigenspaces"]) == 1
+    assert capsys.readouterr().out.startswith("Fail eigenspaces: named generator c2")
+
+
+def test_eigenbasis_mismatch_dependent_generators(monkeypatch):
+    g = wm.generators()
+    _with_generators(monkeypatch, b3=g["b1"] - 2 * g["b4"])  # a -1-eigenvector
+    with pytest.raises(wm.EigenbasisMismatch, match="named generators for -1 are dependent"):
+        wm.eigen_decomposition()
+
+
+def test_eigenbasis_mismatch_dimension(monkeypatch):
+    monkeypatch.setitem(wm._EIGEN_GROUPS, "+1", ("a1", "a2", "a3", "a4", "a5"))
+    with pytest.raises(wm.EigenbasisMismatch, match=r"eigenspace \+1: dimension 6, expected 5"):
+        wm.eigen_decomposition()
 
 
 def test_fixed_generators():

@@ -11,7 +11,8 @@ Grammar (LL(1), whitespace-insensitive):
 "i" is the imaginary unit, never a variable.  Parse errors carry the
 line and column and the tokens that would have been accepted.  Hostile
 input is bounded: parentheses nest at most MAX_NESTING deep, and a power
-whose size bound exceeds MAX_POWER_SIZE is refused before it is computed.
+or a product whose size bound exceeds MAX_POWER_SIZE is refused before it
+is computed.
 
 Subcommands (exit 0 iff the requested verdicts all pass, 1 on a failed
 check, 2 on usage errors):
@@ -276,13 +277,27 @@ def parse_expression(text: str) -> object:
 
 
 MAX_POWER_SIZE = 1 << 20
-"""Largest size (terms times coefficient bits) a power may be bounded by."""
+"""Largest size (terms times coefficient bits) a power or a product may be bounded by."""
 
 
-def _coefficient_bits(value) -> int:
-    if type(value) is GaussianRational:
-        return _coefficient_bits(value.re) + _coefficient_bits(value.im)
-    return value.numerator.bit_length() + value.denominator.bit_length()
+def _profile(poly: Polynomial) -> "tuple[int, int, int]":
+    """Term count, total degree and largest coefficient bits (numerator plus
+    denominator bits, of both parts in Q(i)), in one pass over the terms
+    (no sort)."""
+    if not poly:
+        return 0, -1, 0
+    monos, coeffs = zip(*poly.items())
+    bits = max([c.re.numerator.bit_length() + c.re.denominator.bit_length()
+                + c.im.numerator.bit_length() + c.im.denominator.bit_length()
+                if type(c) is GaussianRational
+                else c.numerator.bit_length() + c.denominator.bit_length()
+                for c in coeffs])
+    return len(monos), max(map(sum, monos)), bits
+
+
+def _variables_used(*polys: Polynomial) -> int:
+    """How many registry variables occur in some term of the polynomials."""
+    return sum(map(any, zip(*[m for poly in polys for m, _ in poly.items()])))
 
 
 def power_size_bound(base: Polynomial, exponent: int) -> int:
@@ -295,21 +310,40 @@ def power_size_bound(base: Polynomial, exponent: int) -> int:
     exponent coefficients of base (t terms), so its bit length is at most
     exponent * (largest coefficient bits + bits of t).
     """
-    terms = base.terms()
+    terms, degree, bits = _profile(base)
     count = 1
-    if len(terms) > 1:
-        used = sum(1 for k in range(len(base.registry)) if any(m[k] for m, _ in terms))
-        count = comb(used + base.total_degree() * exponent, used)
-    bits = max((_coefficient_bits(c) for _, c in terms), default=0)
-    return count * exponent * (bits + len(terms).bit_length())
+    if terms > 1:
+        used = _variables_used(base)
+        count = comb(used + degree * exponent, used)
+    return count * exponent * (bits + terms.bit_length())
+
+
+def product_size_bound(left: Polynomial, right: Polynomial) -> int:
+    """An upper bound on the size of left * right, found in time linear in their terms.
+
+    Size is terms times coefficient bits.  With t1 and t2 terms, the
+    product has at most t1 * t2 terms, and at most as many as there are
+    monomials of degree <= d1 + d2 in the variables either factor uses.
+    Each coefficient is a sum of at most min(t1, t2) products of one
+    coefficient of each factor, so its bit length is at most the sum of
+    their largest coefficient bits plus the bits of min(t1, t2).
+    """
+    t1, d1, b1 = _profile(left)
+    t2, d2, b2 = _profile(right)
+    count = t1 * t2
+    if count > 1:
+        used = _variables_used(left, right)
+        count = min(count, comb(used + d1 + d2, used))
+    return count * (b1 + b2 + min(t1, t2).bit_length())
 
 
 def lower(node: object, registry: VariableRegistry) -> Polynomial:
     """Lower an AST to a Polynomial in the given registry.
 
-    ValueError, before any work, for a power whose size bound exceeds
-    MAX_POWER_SIZE.  Chains of sums, differences and products are
-    left-deep trees, walked along their left spine without recursion.
+    ValueError, before any work, for a power or a product whose size
+    bound exceeds MAX_POWER_SIZE.  Chains of sums, differences and
+    products are left-deep trees, walked along their left spine without
+    recursion.
     """
     if isinstance(node, _Binary):
         spine = []
@@ -323,6 +357,9 @@ def lower(node: object, registry: VariableRegistry) -> Polynomial:
                 value = value + right
             elif isinstance(op, Difference):
                 value = value - right
+            elif product_size_bound(value, right) > MAX_POWER_SIZE:
+                raise ValueError(f"product too large to compute: its size bound exceeds "
+                                 f"{MAX_POWER_SIZE} (terms times coefficient bits)")
             else:
                 value = value * right
         return value

@@ -14,6 +14,10 @@ Term order is graded lexicographic in registry index order (total degree
 first, then exponent tuples compared left to right, larger first), so
 iteration and the canonical text rendering are byte-stable across runs.
 
+evaluate_all evaluates many polynomials of one registry at one point with
+one power table per variable, shared by all of them; Polynomial.evaluate
+is its one-polynomial case.
+
 Polynomials are immutable after construction; all operations allocate
 fresh results and may be used freely across threads.
 """
@@ -40,10 +44,6 @@ class UnknownVariable(ValueError):
 
 class UnboundVariable(ValueError):
     """Evaluation point does not bind a variable that occurs in the polynomial."""
-
-
-class DegreeZero(ValueError):
-    """Resultant requested with respect to a variable of degree < 1."""
 
 
 class VariableRegistry:
@@ -146,6 +146,10 @@ class Polynomial:
         """Terms in descending graded-lex order (leading term first)."""
         return sorted(self._terms.items(), key=lambda kv: _grlex_key(kv[0]), reverse=True)
 
+    def items(self):
+        """Terms as (monomial, coefficient) pairs in no particular order; terms() sorts."""
+        return self._terms.items()
+
     def term_count(self) -> int:
         return len(self._terms)
 
@@ -154,13 +158,6 @@ class Polynomial:
 
     def coefficient(self, mono: Monomial) -> Coefficient:
         return self._terms.get(tuple(mono), 0)
-
-    def constant_value(self) -> Coefficient:
-        """The value of a constant polynomial."""
-        unit = self.registry.unit_monomial()
-        if any(m != unit for m in self._terms):
-            raise ValueError(f"{self} is not constant")
-        return self._terms.get(unit, 0)
 
     def leading(self) -> "tuple[Monomial, Coefficient]":
         """Leading (monomial, coefficient) in graded-lex order; zero poly raises."""
@@ -174,13 +171,6 @@ class Polynomial:
         if not self._terms:
             return -1
         return max(sum(m) for m in self._terms)
-
-    def degree_in(self, name: str) -> int:
-        """Max exponent of one variable; -1 for the zero polynomial."""
-        if not self._terms:
-            return -1
-        k = self.registry.index(name)
-        return max(m[k] for m in self._terms)
 
     # -- ring operations -------------------------------------------------------
 
@@ -316,39 +306,9 @@ class Polynomial:
         return result
 
     def evaluate(self, point: "Mapping[str, object]") -> Coefficient:
-        """Exact value at a point binding every variable that occurs.
-
-        Rational points are evaluated over a common denominator: each
-        bound value is split as n/d with d a positive integer, a term
-        c * x^e of a variable of degree top contributes c * n^e * d^(top-e),
-        and the sum is divided once by the product of the d^top.  So an
-        integer polynomial at a rational point is summed in plain ints,
-        and at a Q(i) point in Gaussian rationals with integer parts.
-        """
-        values: dict[int, Coefficient] = {}
-        for name, value in point.items():
-            values[self.registry.index(name)] = normalize(value)
-        tables: list[list[Coefficient]] = []  # per variable, n^e * d^(top-e)
-        denominator = 1
-        for k, top in enumerate(map(max, zip(*self._terms))):
-            if not top:
-                tables.append([1])
-                continue
-            if k not in values:
-                raise UnboundVariable(
-                    f"variable {self.registry.names[k]!r} is not bound")
-            n, d = _numerator_denominator(values[k])
-            table = [1]
-            for _ in range(top):
-                table.append(table[-1] * n)
-            if d != 1:
-                table = [v * d ** (top - e) for e, v in enumerate(table)]
-                denominator *= d ** top
-            tables.append(table)
-        total = 0
-        for mono, coeff in self._terms.items():
-            total = total + prod(map(getitem, tables, mono), start=coeff)
-        return quotient(total, denominator)
+        """Exact value at a point binding every variable that occurs
+        (the one-polynomial case of evaluate_all)."""
+        return evaluate_all((self,), point)[0]
 
     def coefficient_vector(
         self, basis: Sequence[Monomial]
@@ -384,26 +344,6 @@ class Polynomial:
                 coeff_terms[slot][rest] = coeff
         coeffs = [Polynomial(self.registry, t) for t in coeff_terms]
         return coeffs, Polynomial(self.registry, remainder_terms)
-
-    def coefficients_in(self, name: str, degree: int | None = None) -> "list[Polynomial]":
-        """Dense coefficient list [c_0, ..., c_d] with respect to one variable.
-
-        The returned c_k no longer involve the variable.  `degree` may
-        declare a higher degree than the actual one (zero padding), as
-        needed for resultants of forms with vanishing leading coefficients.
-        """
-        k = self.registry.index(name)
-        actual = self.degree_in(name)
-        if degree is None:
-            degree = max(actual, 0)
-        if degree < actual:
-            raise ValueError(f"declared degree {degree} below actual {actual}")
-        buckets: list[dict[Monomial, Coefficient]] = [{} for _ in range(degree + 1)]
-        for mono, coeff in self._terms.items():
-            e = mono[k]
-            stripped = mono[:k] + (0,) + mono[k + 1:]
-            buckets[e][stripped] = coeff
-        return [Polynomial(self.registry, b) for b in buckets]
 
     def change_registry(self, registry: VariableRegistry) -> "Polynomial":
         """Re-home the polynomial, mapping variables by name."""
@@ -444,6 +384,55 @@ class Polynomial:
         return f"Polynomial({self.render()})"
 
 
+def evaluate_all(polys: "Sequence[Polynomial]",
+                 point: "Mapping[str, object]") -> "list[Coefficient]":
+    """Exact values of polynomials of one registry at one point.
+
+    The point must bind every variable that occurs in some polynomial.
+    Rational points are evaluated over a common denominator: each bound
+    value is split once as n/d with d a positive integer, one table per
+    variable holds n^e * d^(top-e) for e = 0..top, top being the largest
+    degree of that variable in any of the polynomials, and each sum of
+    coefficient times table entries is divided once by the product of the
+    d^top.  So integer polynomials at a rational point are summed in plain
+    ints, and at a Q(i) point in Gaussian rationals with integer parts.
+    """
+    if not polys:
+        return []
+    registry = polys[0].registry
+    for poly in polys:
+        if poly.registry is not registry:
+            polys[0]._check_registry(poly)
+    monos = [m for poly in polys for m in poly._terms]
+    tops = map(max, registry.unit_monomial(), *monos) if monos else registry.unit_monomial()
+    values: dict[int, Coefficient] = {}
+    for name, value in point.items():
+        values[registry.index(name)] = normalize(value)
+    tables: list[list[Coefficient]] = []  # per variable, n^e * d^(top-e)
+    denominator = 1
+    for k, top in enumerate(tops):
+        if not top:
+            tables.append([1])
+            continue
+        if k not in values:
+            raise UnboundVariable(f"variable {registry.names[k]!r} is not bound")
+        n, d = _numerator_denominator(values[k])
+        table = [1]
+        for _ in range(top):
+            table.append(table[-1] * n)
+        if d != 1:
+            table = [v * d ** (top - e) for e, v in enumerate(table)]
+            denominator *= d ** top
+        tables.append(table)
+    results = []
+    for poly in polys:
+        total = 0
+        for mono, coeff in poly._terms.items():
+            total = total + prod(map(getitem, tables, mono), start=coeff)
+        results.append(quotient(total, denominator))
+    return results
+
+
 def _numerator_denominator(value: Coefficient) -> "tuple[Coefficient, int]":
     """(n, d) with value = n / d, d a positive int and n an int or a
     Gaussian rational with integer parts."""
@@ -481,74 +470,3 @@ def _render_term(registry: VariableRegistry, mono: Monomial,
     if leading:
         return piece if value > 0 else f"-{'1*' if magnitude == 1 and (unit or body) else ''}{piece}"
     return f"+ {piece}" if value > 0 else f"- {piece}"
-
-
-def sylvester_resultant(f: Polynomial, g: Polynomial, name: str,
-                        deg_f: int | None = None,
-                        deg_g: int | None = None) -> Polynomial:
-    """Determinant of the Sylvester matrix of f and g with respect to one variable.
-
-    With the default degrees this is the classical affine resultant and
-    raises DegreeZero when either polynomial is constant in the variable.
-    Passing declared degrees computes the resultant of the corresponding
-    homogeneous forms (zero-padded coefficient rows), which vanishes
-    exactly when the forms share a projective root, including at infinity.
-    """
-    from .linalg import PolyMatrix, det_expansion
-
-    f._check_registry(g)
-    m = f.degree_in(name) if deg_f is None else deg_f
-    n = g.degree_in(name) if deg_g is None else deg_g
-    if m < 1 or n < 1:
-        raise DegreeZero(f"resultant needs positive degree in {name!r} (got {m}, {n})")
-    fc = f.coefficients_in(name, m)
-    gc = g.coefficients_in(name, n)
-    zero = Polynomial.zero(f.registry)
-    size = m + n
-    rows: list[list[Polynomial]] = []
-    for shift in range(n):  # n rows of f coefficients, descending degree
-        row = [zero] * size
-        for k, c in enumerate(reversed(fc)):
-            row[shift + k] = c
-        rows.append(row)
-    for shift in range(m):  # m rows of g coefficients
-        row = [zero] * size
-        for k, c in enumerate(reversed(gc)):
-            row[shift + k] = c
-        rows.append(row)
-    return det_expansion(PolyMatrix.from_rows(rows))
-
-
-class BidegreeForm:
-    """A polynomial in a two-variable registry with a declared bidegree.
-
-    Represents the dehomogenization of a bihomogeneous form on P^1 x P^1;
-    the declared bidegree fixes the homogenization, so resultant analysis
-    can account for roots at infinity.
-    """
-
-    __slots__ = ("poly", "degrees")
-
-    def __init__(self, poly: Polynomial, degrees: "tuple[int, int]"):
-        if len(poly.registry) != 2:
-            raise ValueError("BidegreeForm needs a two-variable registry")
-        first, second = poly.registry.names
-        if poly.degree_in(first) > degrees[0] or poly.degree_in(second) > degrees[1]:
-            raise ValueError(
-                f"{poly} exceeds declared bidegree {degrees}")
-        self.poly = poly
-        self.degrees = (int(degrees[0]), int(degrees[1]))
-
-    def coefficients(self, name: str) -> "list[Polynomial]":
-        """Dense coefficients with respect to one variable at the declared degree."""
-        first, second = self.poly.registry.names
-        if name == first:
-            declared = self.degrees[0]
-        elif name == second:
-            declared = self.degrees[1]
-        else:
-            raise UnknownVariable(f"{name!r} not in {self.poly.registry!r}")
-        return self.poly.coefficients_in(name, declared)
-
-    def __repr__(self) -> str:
-        return f"BidegreeForm({self.poly.render()}, {self.degrees})"

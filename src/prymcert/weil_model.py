@@ -32,6 +32,13 @@ exact arithmetic:
     (resultant analysis of the restricted equations), which makes the
     rotation act freely on the curve.
 
+The per-triple checks work on dense data.  An evaluated matrix is built
+by multipoly.evaluate_all, whose one power table per variable serves
+all entries.  The diagonal checks store each restricted (2,2)-form as a
+3x3 integer grid (form_grid) and take t-resultants by the Bezout
+formula for two binary quadratics on coefficient lists in Z[s]
+(t_resultant); no Sylvester matrix and no Polynomial is built per triple.
+
 The action convention is pinned by tests: sigma acts on polynomials by
 the substitution s->t, t->x, x->y, y->s, the unique convention for which
 c1 = s - i*t - x + i*y is multiplied by +i.
@@ -61,13 +68,7 @@ from .linalg import (
     kernel_basis,
     rank,
 )
-from .multipoly import (
-    BidegreeForm,
-    Monomial,
-    Polynomial,
-    VariableRegistry,
-    sylvester_resultant,
-)
+from .multipoly import Monomial, Polynomial, VariableRegistry, evaluate_all
 
 CHART_VARS = ("s", "t", "x", "y")
 
@@ -457,6 +458,28 @@ def diagonal_generators() -> "dict[str, Polynomial]":
     return {name: restrict_to_diagonal(gens[name]) for name in INVARIANT_NAMES}
 
 
+def form_grid(form: Polynomial) -> "list[list[int]]":
+    """A (2,2)-form in s, t with integer coefficients as a 3x3 grid.
+
+    grid[k][j] is the coefficient of s^j t^k, so grid[k] is the dense
+    coefficient list in s of t^k.  ValueError for anything else.
+    """
+    if form.registry != diagonal_registry():
+        raise ValueError(f"{form} is not a form in {DIAGONAL_VARS}")
+    grid = [[0] * 3 for _ in range(3)]
+    for (j, k), coeff in form.items():
+        if j > 2 or k > 2 or type(coeff) is not int:
+            raise ValueError(f"{form} is not a (2,2)-form over Z")
+        grid[k][j] = coeff
+    return grid
+
+
+@lru_cache(maxsize=1)
+def diagonal_grids() -> "dict[str, list[list[int]]]":
+    """The restricted generators a1..a6 as 3x3 integer grids, computed once."""
+    return {name: form_grid(form) for name, form in diagonal_generators().items()}
+
+
 def _diagonal_reference(reg: VariableRegistry) -> "dict[str, Polynomial]":
     """Affine reference forms of the restricted generators (defined up to scale)."""
     s, t = Polynomial.variables(reg, "s", "t")
@@ -563,33 +586,51 @@ def _pseudo_mod(a: "list[int]", b: "list[int]") -> "list[int]":
     return r
 
 
-def _scalar_coeff_list(poly: Polynomial, name: str, degree: int) -> "list[Coefficient]":
-    return [c.constant_value() for c in poly.coefficients_in(name, degree)]
+def _cross(p: "list[int]", q: "list[int]", r: "list[int]", u: "list[int]") -> "list[int]":
+    """p*q - r*u for dense integer coefficient lists, p, r and q, u of equal lengths."""
+    out = [0] * (len(p) + len(q) - 1)
+    for sign, left, right in ((1, p, q), (-1, r, u)):
+        for i, a in enumerate(left):
+            if a:
+                for j, b in enumerate(right):
+                    out[i + j] += sign * a * b
+    return out
 
 
-def _pair_resultant_in_t(f: BidegreeForm, g: BidegreeForm) -> Polynomial:
-    """Resultant of two bidegree forms with respect to t at declared degrees."""
-    return sylvester_resultant(f.poly, g.poly, "t",
-                               deg_f=f.degrees[1], deg_g=g.degrees[1])
+def t_resultant(f: "list[list[int]]", g: "list[list[int]]") -> "list[int]":
+    """Resultant in t of two (2,2)-forms given as grids (form_grid).
+
+    With f = a2 t^2 + a1 t + a0 and g = b2 t^2 + b1 t + b0, the a_k and b_k
+    in Z[s] of degree <= 2, this is the Bezout form of the Sylvester
+    determinant of two binary quadratics,
+    (a2 b0 - a0 b2)^2 - (a2 b1 - a1 b2)(a1 b0 - a0 b1),
+    returned as the dense coefficient list in s of a binary form of
+    declared degree 8 (nine entries).  It vanishes at s exactly when the
+    two forms share a root t on P^1 there, t = infinity included.
+    """
+    (a0, a1, a2), (b0, b1, b2) = f, g
+    c20 = _cross(a2, b0, a0, b2)
+    return _cross(c20, c20, _cross(a2, b1, a1, b2), _cross(a1, b0, a0, b1))
 
 
 def verify_diagonal() -> DiagonalReport:
     """Proportionality factors plus base-point-freeness of the restricted system.
 
     A common projective zero of all six restricted (2,2)-forms would force
-    every pairwise t-resultant (a degree-8 binary form in s) to vanish at
-    its s-coordinate; the analysis certifies emptiness when the nonzero
-    resultants have no common projective root.  BasePointFound is raised
-    when emptiness cannot be certified.
+    every pairwise t-resultant (t_resultant, a degree-8 binary form in s)
+    to vanish at its s-coordinate; the analysis certifies emptiness when
+    the nonzero resultants of the 15 pairs of diagonal_grids() have no
+    common projective root.  BasePointFound is raised when emptiness
+    cannot be certified.
     """
     factors = diagonal_restriction_factors()
-    forms = [BidegreeForm(g, (2, 2)) for g in diagonal_generators().values()]
+    grids = list(diagonal_grids().values())
     resultants = []
-    for i in range(len(forms)):
-        for j in range(i + 1, len(forms)):
-            r = _pair_resultant_in_t(forms[i], forms[j])
-            if r:
-                resultants.append((_scalar_coeff_list(r, "s", 8), 8))
+    for i in range(len(grids)):
+        for j in range(i + 1, len(grids)):
+            r = t_resultant(grids[i], grids[j])
+            if any(r):
+                resultants.append((r, 8))
     if not resultants:
         raise BasePointFound("every pairwise resultant vanishes identically")
     if _binary_forms_have_common_root(resultants):
@@ -742,7 +783,10 @@ def elimination_determinant() -> Polynomial:
 
 
 def _evaluate_matrix(pm: PolyMatrix, point: Mapping[str, object]) -> ScalarMatrix:
-    return ScalarMatrix.from_rows(pm.map(lambda e: e.evaluate(point)))
+    """The matrix evaluated at a point, all entries sharing one power table."""
+    values = evaluate_all([e for row in pm.entries for e in row], point)
+    return ScalarMatrix.from_rows(values[i:i + pm.cols]
+                                  for i in range(0, len(values), pm.cols))
 
 
 def determinant_at(triple: CoefficientTriple) -> Rational:
@@ -790,48 +834,44 @@ def cross_check_determinant(triple: CoefficientTriple, value: Rational) -> None:
 # fixed points and genus
 # ---------------------------------------------------------------------------
 
-def _elimination_equations(triple: CoefficientTriple,
-                           forms: Mapping[str, Polynomial]) -> "list[Polynomial]":
-    """The three equations a_k - (linear in a1..a3) defined by a triple.
+def _diagonal_equations(triple: CoefficientTriple) -> "list[list[list[int]]]":
+    """The three equations a_k - (linear in a1..a3) of a triple, restricted
+    to the diagonal, as 3x3 integer grids (form_grid).
 
-    forms gives a1..a6: generators() for the chart equations,
-    diagonal_generators() for their restrictions to the diagonal (which
-    are the same, restriction being a ring homomorphism).  Each equation
-    is cleared of denominators (exactnum.primitive of 1, u1, u2, u3, which
-    scales by the lcm of the three denominators), so it has integer
-    coefficients, as do the resultants taken from it.  A nonzero scalar
-    does not move the zero set.
+    Each equation is cleared of denominators (exactnum.primitive of 1, u1,
+    u2, u3, which scales by the lcm of the three denominators), so it is
+    an integer combination of diagonal_grids(); a nonzero scalar does not
+    move the zero set.
     """
-    coeffs = (triple.a, triple.b, triple.c)
-    targets = ("a4", "a5", "a6")
+    grids = diagonal_grids()
     equations = []
-    for target, row in zip(targets, coeffs):
+    for target, row in zip(("a4", "a5", "a6"), (triple.a, triple.b, triple.c)):
         scale, u1, u2, u3 = primitive((1,) + row)[0]
-        combo = u1 * forms["a1"] + u2 * forms["a2"] + u3 * forms["a3"]
-        equations.append(scale * forms[target] - combo)
+        equations.append([
+            [scale * a - u1 * b - u2 * c - u3 * d for a, b, c, d in zip(*rows)]
+            for rows in zip(grids[target], grids["a1"], grids["a2"], grids["a3"])])
     return equations
 
 
 def fixed_point_free_check(triple: CoefficientTriple) -> str:
     """Certify that the curve cut out by a triple misses the diagonal.
 
-    Restricts the three equations to x = s, y = t as bidegree-(2,2)
-    forms, takes resultants of the pairs (1,2) and (1,3) with respect to
-    the t block (degree-8 binary forms in s), and returns CertifiedEmpty
-    when the two resultants have no common projective root, including at
-    infinity.  Returns Inconclusive in every degenerate situation (an
-    identically zero restriction or resultant, or a shared root).
+    Restricts the three equations to x = s, y = t as (2,2)-forms on 3x3
+    integer grids (_diagonal_equations), takes the t-resultants of the
+    pairs (1,2) and (1,3) by the Bezout formula (t_resultant, degree-8
+    binary forms in s), and returns CertifiedEmpty when the two
+    resultants have no common projective root, including at infinity.
+    Returns Inconclusive in every degenerate situation (an identically
+    zero restriction or resultant, or a shared root).
     """
-    restricted = _elimination_equations(triple, diagonal_generators())
-    if any(not g for g in restricted):
+    forms = _diagonal_equations(triple)
+    if not all(any(map(any, form)) for form in forms):
         return INCONCLUSIVE
-    forms = [BidegreeForm(g, (2, 2)) for g in restricted]
-    r12 = _pair_resultant_in_t(forms[0], forms[1])
-    r13 = _pair_resultant_in_t(forms[0], forms[2])
-    if not r12 or not r13:
+    r12 = t_resultant(forms[0], forms[1])
+    r13 = t_resultant(forms[0], forms[2])
+    if not any(r12) or not any(r13):
         return INCONCLUSIVE
-    pair = [(_scalar_coeff_list(r12, "s", 8), 8), (_scalar_coeff_list(r13, "s", 8), 8)]
-    if _binary_forms_have_common_root(pair):
+    if _binary_forms_have_common_root([(r12, 8), (r13, 8)]):
         return INCONCLUSIVE
     return CERTIFIED_EMPTY
 

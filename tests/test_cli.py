@@ -30,6 +30,7 @@ from prymcert.cli import (
     parse_expression,
     parse_poly,
     power_size_bound,
+    product_size_bound,
 )
 from prymcert.certify import run_pipeline
 from prymcert.exactnum import GaussianRational
@@ -403,17 +404,49 @@ def test_parse_refuses_a_power_too_large_to_compute(capsys, monkeypatch):
         assert captured.err.count("\n") == 1
 
 
+def _size(poly):
+    """Terms times the largest coefficient bits, read from the computed polynomial."""
+    parts = [p for _, c in poly.terms()
+             for p in ((c.re, c.im) if isinstance(c, GaussianRational) else (c,))]
+    bits = max((Fraction(p).numerator.bit_length() + Fraction(p).denominator.bit_length()
+                for p in parts), default=0)
+    return poly.term_count() * bits
+
+
 def test_power_size_bound_admits_ordinary_powers():
     for text, exponent in [("s", 1000), ("s*t*x*y", 100), ("99999", 1000),
                            ("s+2", 100), ("s+t+x+y", 12), ("s-i*t+1/2", 20)]:
         base = parse_poly(text, REG)
         assert power_size_bound(base, exponent) <= MAX_POWER_SIZE, text
-        power = base ** exponent
-        parts = [p for _, c in power.terms()
-                 for p in ((c.re, c.im) if isinstance(c, GaussianRational) else (c,))]
-        bits = max(Fraction(p).numerator.bit_length() + Fraction(p).denominator.bit_length()
-                   for p in parts)
-        assert power.term_count() * bits <= power_size_bound(base, exponent), text
+        assert _size(base ** exponent) <= power_size_bound(base, exponent), text
+
+
+def test_parse_refuses_a_product_too_large_to_compute(capsys, monkeypatch):
+    real_mul = Polynomial.__mul__
+
+    def guarded(self, other):
+        if isinstance(other, Polynomial) and min(self.term_count(), other.term_count()) > 1000:
+            raise AssertionError("the product was computed")
+        return real_mul(self, other)
+
+    monkeypatch.setattr(Polynomial, "__mul__", guarded)
+    factor = "(s+t+x+y)^15"  # each power passes power_size_bound
+    for count in (3, 4):
+        assert main(["parse", "--expr", "*".join([factor] * count)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: product too large to compute")
+        assert captured.err.count("\n") == 1
+
+
+def test_product_size_bound_admits_ordinary_products():
+    for left, right in [("(s+t+x+y)^10", "(s+t+x+y)^10"), ("s*t*x*y", "s^100"),
+                        ("99999", "99999"), ("s-i*t+1/2", "(s+1/3*i)^5"), ("0", "s+t"),
+                        ("s^3001", "s"), ("(s+2)^100", "(s-2)^100")]:
+        p, q = parse_poly(left, REG), parse_poly(right, REG)
+        bound = product_size_bound(p, q)
+        assert bound <= MAX_POWER_SIZE, (left, right)
+        assert _size(p * q) <= bound, (left, right)
 
 
 def test_parse_output_too_long_to_render(capsys):
@@ -456,3 +489,31 @@ def test_usage_exit_codes():
     with pytest.raises(SystemExit) as err:
         main([])
     assert err.value.code == 2
+
+
+# The fpf, quadric and detm --at outputs (plain and --json) with their exit
+# codes, at the seed-0 witness, the four degenerate triples of the benchmark
+# oracle and 20 seeded height-10^6 rational triples; the hash pins the bytes.
+PINNED_WITNESS_OUTPUTS = "a18d6ba45e0a3f91feddeca73329e452d0750b49aa031bfd476e9f7b3cb91950"
+
+
+def _height_triples(count, seed):
+    rng = random.Random(seed)
+    return [",".join(str(Fraction(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 10 ** 6)))
+                     for _ in range(9)) for _ in range(count)]
+
+
+def test_witness_subcommand_outputs_are_pinned(capsys):
+    triples = (["6,5,6,-6,6,-1,-2,-8,-2", "0,0,0,0,0,0,0,0,0", "1,0,0,0,0,0,0,0,0",
+                "1,0,0,0,0,0,1/4,0,0", "1/2,0,0,1/4,0,0,1/4,0,0"]
+               + _height_triples(20, seed=23))
+    transcript = []
+    for triple in triples:
+        for command in ("fpf", "quadric", "detm"):
+            for extra in ([], ["--json"]):
+                code = main([command, f"--at={triple}"] + extra)
+                out = capsys.readouterr().out
+                transcript.append(f"{command} {triple} {' '.join(extra)} -> {code}\n{out}")
+    text = "".join(transcript)
+    assert text.count("CertifiedEmpty") == 46 and text.count("Inconclusive") == 4
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_WITNESS_OUTPUTS

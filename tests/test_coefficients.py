@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from prymcert import weil_model as wm
-from prymcert.exactnum import GaussianRational, IMAG_UNIT, normalize, quotient
+from prymcert.exactnum import GaussianRational, IMAG_UNIT, normalize, primitive, quotient
 from prymcert.multipoly import Polynomial, VariableRegistry
 
 INTEGER_TRIPLE = wm.CoefficientTriple.from_rationals((6, 5, 6, -6, 6, -1, -2, -8, -2))
@@ -73,7 +73,7 @@ def test_vanishing_quadric_vector(triple):
 def test_resultant_coefficient_lists(triple, monkeypatch):
     resultants = []
     seen = []
-    real_resultant = wm.sylvester_resultant
+    real_resultant = wm.t_resultant
     real_common_root = wm._binary_forms_have_common_root
 
     def resultant_spy(*args, **kwargs):
@@ -84,14 +84,11 @@ def test_resultant_coefficient_lists(triple, monkeypatch):
         seen.extend(coeffs for coeffs, _ in forms)
         return real_common_root(forms)
 
-    monkeypatch.setattr(wm, "sylvester_resultant", resultant_spy)
+    monkeypatch.setattr(wm, "t_resultant", resultant_spy)
     monkeypatch.setattr(wm, "_binary_forms_have_common_root", common_root_spy)
     assert wm.fixed_point_free_check(triple) == wm.CERTIFIED_EMPTY
     assert len(resultants) == 2 and len(seen) == 2
-    for poly in resultants:
-        assert_polynomial_canonical(poly)
-        assert all(type(c) is int for _, c in poly.terms())
-    for coeffs in seen:
+    for coeffs in resultants + seen:
         assert len(coeffs) == 9
         for value in coeffs:
             assert type(value) is int, repr(value)
@@ -116,16 +113,18 @@ HEIGHT_TRIPLES = [wm.CoefficientTriple.from_rationals(
     ids=["integer", "rational"] + [f"height-{k}" for k in range(5)]
     + ["origin", "a1-one", "zero-det", "meets-diagonal"])
 def test_restricted_equations_have_integer_coefficients(triple):
-    equations = wm._elimination_equations(triple, wm.generators())
-    restricted = wm._elimination_equations(triple, wm.diagonal_generators())
-    assert len(equations) == len(restricted) == 3
-    for equation, direct in zip(equations, restricted):
+    gens = wm.generators()
+    grids = wm._diagonal_equations(triple)
+    assert len(grids) == 3
+    for target, row, grid in zip(("a4", "a5", "a6"), (triple.a, triple.b, triple.c), grids):
+        scale, u1, u2, u3 = primitive((1,) + row)[0]
+        equation = scale * gens[target] - (u1 * gens["a1"] + u2 * gens["a2"] + u3 * gens["a3"])
         via_chart = wm.restrict_to_diagonal(equation)
         assert via_chart
-        assert direct.registry == via_chart.registry
-        assert direct.terms() == via_chart.terms()
-        for (_, coeff), (_, chart_coeff) in zip(direct.terms(), via_chart.terms()):
-            assert type(coeff) is int and type(chart_coeff) is int, repr(coeff)
+        assert grid == wm.form_grid(via_chart)
+        for coeffs in grid:
+            for coeff in coeffs:
+                assert type(coeff) is int, repr(coeff)
 
 
 def test_diagonal_factors():

@@ -1,0 +1,175 @@
+"""Built degenerate witnesses: triples whose curve meets the diagonal, and
+zeros of det M.
+
+The sampler never reaches these loci, so they are built here.  The curve
+of a triple meets the diagonal at a point p when each restricted equation
+a_target - (u1*a1 + u2*a2 + u3*a3) vanishes at p; that is one linear
+condition on the row (u1, u2, u3), solved for one coordinate after the
+other two are drawn.  The point may lie at s = infinity, where a form of
+degree 2 in s takes the value of its s^2 part.  A zero of det M fixes
+eight coordinates and takes a rational root of the cubic that det M is
+in the ninth.
+"""
+
+import json
+import random
+from fractions import Fraction
+
+import pytest
+
+from prymcert import certify
+from prymcert import weil_model as wm
+from prymcert.cli import main
+from prymcert.multipoly import Polynomial, VariableRegistry
+
+ROWS = (("a4", "a"), ("a5", "b"), ("a6", "c"))
+
+
+def at_point(s0, t0):
+    """The value of a restricted form at the diagonal point (s0, t0)."""
+    return lambda form: form.evaluate({"s": s0, "t": t0})
+
+
+def at_s_infinity(t0):
+    """The value of a restricted form at s = infinity, t = t0: its s^2 part at t0."""
+    return lambda form: sum(c * t0 ** k for (j, k), c in form.terms() if j == 2)
+
+
+def meeting_triple(value, rng):
+    """A triple whose three restricted equations all vanish where value is taken."""
+    forms = wm.diagonal_generators()
+    basis = [value(forms[name]) for name in ("a1", "a2", "a3")]
+    solved = next(k for k, b in enumerate(basis) if b)
+    rows = []
+    for target, _ in ROWS:
+        u = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(3)]
+        u[solved] = 0
+        u[solved] = (value(forms[target]) - sum(x * b for x, b in zip(u, basis))) / basis[solved]
+        rows += u
+    return wm.CoefficientTriple.from_rationals(rows)
+
+
+def restricted_equations(triple):
+    """The unscaled equations of a triple, restricted to the diagonal."""
+    forms = wm.diagonal_generators()
+    return [forms[target] - sum((u * forms[name] for u, name
+                                 in zip(getattr(triple, part), ("a1", "a2", "a3"))),
+                                Polynomial.zero(wm.diagonal_registry()))
+            for target, part in ROWS]
+
+
+def _divisors(n):
+    n = abs(n)
+    small = [d for d in range(1, int(n ** 0.5) + 1) if n % d == 0]
+    return sorted(set(small + [n // d for d in small]))
+
+
+def _rational_root(coeffs):
+    """A rational root of a nonconstant integer polynomial (ascending coefficients), or None."""
+    while coeffs and not coeffs[-1]:
+        coeffs = coeffs[:-1]
+    if len(coeffs) < 2:
+        return None
+    if not coeffs[0]:
+        return Fraction(0)
+    for p in _divisors(coeffs[0]):
+        for q in _divisors(coeffs[-1]):
+            for root in (Fraction(p, q), Fraction(-p, q)):
+                if sum(c * root ** e for e, c in enumerate(coeffs)) == 0:
+                    return root
+    return None
+
+
+def det_zero_triple(rng):
+    """Fix eight coordinates at small integers and take a rational root in the ninth."""
+    det = wm.elimination_determinant()
+    while True:
+        name = rng.choice(wm.COEFF_VARS)
+        fixed = {n: rng.randint(-3, 3) for n in wm.COEFF_VARS if n != name}
+        reg = VariableRegistry((name,))
+        cubic = det.substitute({n: Polynomial.constant(reg, v) for n, v in fixed.items()})
+        assert cubic.total_degree() <= 3
+        root = _rational_root([cubic.coefficient((e,)) for e in range(4)])
+        if root is not None:
+            return wm.CoefficientTriple.from_rationals(
+                [fixed.get(n, root) for n in wm.COEFF_VARS])
+
+
+POINTS = {
+    "finite": at_point(Fraction(2), Fraction(-1, 3)),
+    "s-equals-t": at_point(1, 1),
+    "a1-vanishes": at_point(1, -1),
+    "s-zero": at_point(0, 5),
+    "s-infinity": at_s_infinity(Fraction(3, 2)),
+}
+
+
+def meeting_triples():
+    rng = random.Random(2)
+    return {f"{kind}-{k}": meeting_triple(value, rng)
+            for kind, value in POINTS.items() for k in range(3)}
+
+
+MEETING = meeting_triples()
+DET_ZERO = {f"seed-{seed}": det_zero_triple(random.Random(seed)) for seed in range(3)}
+
+
+def text(triple):
+    return ",".join(str(v) for v in triple.values())
+
+
+@pytest.mark.parametrize("name", sorted(MEETING))
+def test_curve_meeting_the_diagonal_is_not_certified_empty(name):
+    triple = MEETING[name]
+    value = POINTS[name.rsplit("-", 1)[0]]
+    assert all(value(equation) == 0 for equation in restricted_equations(triple))
+    assert wm.fixed_point_free_check(triple) != wm.CERTIFIED_EMPTY
+
+
+@pytest.mark.parametrize("name", sorted(DET_ZERO))
+def test_det_m_vanishes_at_built_zeros(name):
+    triple = DET_ZERO[name]
+    assert wm.determinant_at(triple) == 0
+    wm.cross_check_determinant(triple, Fraction(0))  # Gauss-Jordan over Q agrees
+
+
+@pytest.fixture(scope="module")
+def seed0_document():
+    return json.loads(certify.run_pipeline(0, 100).to_json())
+
+
+@pytest.mark.parametrize("triple", [MEETING["finite-0"], MEETING["s-infinity-0"],
+                                    DET_ZERO["seed-0"]],
+                         ids=["meets-diagonal", "meets-at-infinity", "det-zero"])
+def test_recheck_rejects_built_witness(seed0_document, tmp_path, capsys, triple):
+    # every witness field holds its true recomputed value; a condition fails
+    conditions = list(certify._witness_conditions(triple))
+    values = {field: value for field, value, _ in conditions}
+    failing = next(field for field, _, holds in conditions if not holds)
+    document = {**seed0_document, "witness_triple": text(triple).split(","),
+                "witness_det_m": str(values["witness_det_m"]),
+                "witness_quadric_kernel_dim": values["witness_quadric_kernel_dim"],
+                "fixed_point_free": values["fixed_point_free"], "overall": "Pass"}
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(document))
+    assert main(["recheck", "--cert", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("Fail recheck:") and f"field {failing!r}" in out
+    assert "witness condition" in out
+
+
+@pytest.mark.parametrize("name", ["finite-0", "s-infinity-0"])
+def test_fpf_exit_code_on_a_built_meeting(name, capsys):
+    at = f"--at={text(MEETING[name])}"
+    assert main(["fpf", at, "--json"]) == 1
+    assert json.loads(capsys.readouterr().out) == {"fixed_point_free": wm.INCONCLUSIVE}
+    assert main(["fpf", at]) == 1
+    assert capsys.readouterr().out == "Inconclusive\n"
+
+
+def test_detm_exit_code_on_a_built_zero(capsys):
+    at = f"--at={text(DET_ZERO['seed-1'])}"
+    assert main(["detm", at, "--json"]) == 1
+    assert json.loads(capsys.readouterr().out) == {"det_m_value": "0"}
+    assert main(["detm", at]) == 1
+    assert capsys.readouterr().out == "0\n"

@@ -1,6 +1,7 @@
-"""Polynomial.evaluate against a term-by-term reference over Fraction pairs.
+"""Polynomial.evaluate and evaluate_all against a term-by-term reference.
 
-evaluate sums over a common denominator; the reference below is the
+Both sum over a common denominator, evaluate_all with one power table
+shared by all the polynomials it is given; the reference below is the
 plain loop: every term's value is built from Fraction powers and added
 up, with Q(i) numbers carried as (re, im) pairs of Fractions.
 """
@@ -12,7 +13,14 @@ import pytest
 
 from prymcert import weil_model as wm
 from prymcert.exactnum import GaussianRational, IMAG_UNIT
-from prymcert.multipoly import Polynomial, UnboundVariable, VariableRegistry
+from prymcert.linalg import ScalarMatrix
+from prymcert.multipoly import (
+    Polynomial,
+    RegistryMismatch,
+    UnboundVariable,
+    VariableRegistry,
+    evaluate_all,
+)
 
 HEIGHT = 10 ** 6
 
@@ -137,3 +145,43 @@ def test_unbound_variable():
         (s * t + 1).evaluate({"s": Fraction(1, 2)})
     with pytest.raises(UnboundVariable):
         t.evaluate({})
+
+
+@pytest.mark.parametrize("kind", ["integer", "rational", "zeros"])
+def test_shared_table_matches_per_entry_evaluation(kind):
+    result = wm.eliminate()
+    point = COEFF_POINTS[kind]
+    for matrix in (result.matrix, result.quadric_matrix, result.full_matrix):
+        entries = [e for row in matrix.entries for e in row]
+        shared = evaluate_all(entries, point)
+        assert len(shared) == len(entries)
+        for value, entry in zip(shared, entries):
+            assert_same(value, entry.evaluate(point))
+        assert wm._evaluate_matrix(matrix, point) == ScalarMatrix.from_rows(
+            matrix.map(lambda e: e.evaluate(point)))
+
+
+def test_shared_table_at_a_gaussian_point():
+    # i occurs in a polynomial and in the point; the tables are shared
+    # across polynomials of different degrees in each variable
+    reg = VariableRegistry(("s", "t", "x"))
+    s, t, x = Polynomial.variables(reg, "s", "t", "x")
+    polys = [IMAG_UNIT * s ** 3 * t + Fraction(1, 2) * x, s - IMAG_UNIT * t ** 2,
+             Polynomial.zero(reg), Polynomial.constant(reg, 7), x ** 3]
+    rng = random.Random(8)
+    for point in list(points(reg.names, seed=8).values()) + [
+            {"s": random_gaussian(rng), "t": IMAG_UNIT, "x": Fraction(-2, 3)}]:
+        shared = evaluate_all(polys, point)
+        for value, poly in zip(shared, polys):
+            assert_same(value, reference_evaluate(poly, point))
+
+
+def test_shared_table_rejects_bad_input():
+    reg = VariableRegistry(("s", "t"))
+    s, t = Polynomial.variables(reg, "s", "t")
+    assert evaluate_all([], {"s": 1}) == []
+    assert_same(evaluate_all([Polynomial.zero(reg)], {})[0], 0)
+    with pytest.raises(UnboundVariable):
+        evaluate_all([s, t], {"s": 1})
+    with pytest.raises(RegistryMismatch):
+        evaluate_all([s, Polynomial.variable(VariableRegistry(("s",)), "s")], {"s": 1})

@@ -1,9 +1,10 @@
 """The integer gcd and the freeness verdict against Euclid over Q.
 
 _univariate_gcd runs a primitive remainder sequence over Z, and
-fixed_point_free_check works on equations scaled to integer
-coefficients.  The references below are the plain routes: Euclid's
-algorithm over Fraction, on the unscaled equations.
+fixed_point_free_check works on equations scaled to integer grids with
+the Bezout form of the t-resultant.  The references below are the plain
+routes: Euclid's algorithm over Fraction, and the Sylvester determinant
+of the unscaled equations (sylvester_reference).
 """
 
 import random
@@ -12,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 from prymcert import weil_model as wm
-from prymcert.multipoly import BidegreeForm, sylvester_resultant
+from sylvester_reference import sylvester_resultant
 
 HEIGHT = 10 ** 6
 
@@ -123,13 +124,12 @@ def reference_verdict(triple):
     restricted = [wm.restrict_to_diagonal(eq) for eq in reference_equations(triple)]
     if any(not g for g in restricted):
         return wm.INCONCLUSIVE
-    forms = [BidegreeForm(g, (2, 2)) for g in restricted]
     lists = []
-    for other in (forms[1], forms[2]):
-        r = sylvester_resultant(forms[0].poly, other.poly, "t", deg_f=2, deg_g=2)
+    for other in restricted[1:]:
+        r = sylvester_resultant(restricted[0], other, "t", 2, 2)
         if not r:
             return wm.INCONCLUSIVE
-        lists.append([c.constant_value() for c in r.coefficients_in("s", 8)])
+        lists.append([r.coefficient((j, 0)) for j in range(9)])
     if all(degree(c) < 8 for c in lists):
         return wm.INCONCLUSIVE  # common root at infinity
     if degree(reference_gcd(*lists)) != 0:
@@ -159,3 +159,13 @@ def test_freeness_verdict_at_degenerate_triples(values):
 def test_triple_meeting_the_diagonal_stays_inconclusive():
     triple = wm.CoefficientTriple.from_rationals(MEETS_DIAGONAL)
     assert wm.fixed_point_free_check(triple) == wm.INCONCLUSIVE
+
+
+def test_diagonal_resultants_match_the_oracle():
+    forms = list(wm.diagonal_generators().values())
+    grids = list(wm.diagonal_grids().values())
+    for i in range(len(forms)):
+        for j in range(i + 1, len(forms)):
+            r = sylvester_resultant(forms[i], forms[j], "t", 2, 2)
+            assert wm.t_resultant(grids[i], grids[j]) == [r.coefficient((k, 0))
+                                                          for k in range(9)]

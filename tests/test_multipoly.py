@@ -1,20 +1,27 @@
-"""Sparse polynomial arithmetic: ring axioms, substitution, resultants, rendering."""
+"""Sparse polynomial arithmetic: ring axioms, substitution, rendering, and
+the t-resultant of (2,2)-forms on integer grids (weil_model.t_resultant,
+weil_model.form_grid) against the Sylvester oracle in sylvester_reference."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
+from prymcert import weil_model as wm
 from prymcert.exactnum import GaussianRational, IMAG_UNIT
 from prymcert.multipoly import (
-    BidegreeForm,
-    DegreeZero,
     Polynomial,
     RegistryMismatch,
     UnboundVariable,
     UnknownVariable,
     VariableRegistry,
+)
+from sylvester_reference import (
+    grid_form,
+    naive_det,
+    reference_t_resultant,
     sylvester_resultant,
+    sylvester_rows,
 )
 
 REG = VariableRegistry(("s", "t", "x", "y"))
@@ -184,100 +191,105 @@ def test_divide_exact():
         assert (p * q).evaluate(point) == p.evaluate(point) * q.evaluate(point)
 
 
+DIAG = wm.diagonal_registry()
+
+
+def _diagonal_vars():
+    return Polynomial.variables(DIAG, "s", "t")
+
+
 def test_coefficients_in():
-    s, t, x, y = _vars()
-    p = s ** 2 * t + 3 * t - x
-    coeffs = p.coefficients_in("t")
-    assert len(coeffs) == 2
-    assert coeffs[0] == -x
-    assert coeffs[1] == s ** 2 + 3
-    padded = p.coefficients_in("t", 3)
-    assert len(padded) == 4 and not padded[2] and not padded[3]
+    # form_grid is the dense coefficient table in s and t of a (2,2)-form
+    s, t = _diagonal_vars()
+    p = s ** 2 * t + 3 * t - 1
+    grid = wm.form_grid(p)
+    assert grid == [[-1, 0, 0], [3, 0, 1], [0, 0, 0]]
+    assert all(type(c) is int for row in grid for c in row)
+    assert grid_form(grid) == p
     with pytest.raises(ValueError):
-        p.coefficients_in("t", 0)
+        wm.form_grid(t ** 3)  # above the declared degree 2 in t
+
+
+def _res(f, g):
+    return wm.t_resultant(wm.form_grid(f), wm.form_grid(g))
+
+
+def _dense(poly):
+    """Nine coefficients in s of a polynomial in s alone."""
+    assert all(m[1] == 0 for m, _ in poly.terms()), poly
+    return [poly.coefficient((j, 0)) for j in range(9)]
 
 
 def test_sylvester_resultant_examples():
-    s, t, x, y = _vars()
-    assert sylvester_resultant(s - t, s + t, "t") == -2 * s
-    assert sylvester_resultant(t ** 2 - s, t - 1, "t") == 1 - s
+    s, t = _diagonal_vars()
+    assert _res(t ** 2 - s, t - 1) == _dense(1 - s)
+    assert _res(t ** 2 - s, t ** 2 - 1) == _dense((1 - s) ** 2)
     f = s * t ** 2 + t - 1
-    assert not sylvester_resultant(f, f, "t")
-    with pytest.raises(DegreeZero):
-        sylvester_resultant(s, s + t, "t")
+    assert not any(_res(f, f))
+    # forms constant in t share the double root t = infinity at declared degree 2
+    assert not any(_res(s + 1, s ** 2))
+    for f, g in [(t ** 2 - s, t - 1), (f, 2 * t ** 2 + s), (s * t + 1, t ** 2 - s ** 2)]:
+        assert _res(f, g) == _dense(sylvester_resultant(f, g, "t", 2, 2))
 
 
 def test_sylvester_resultant_declared_degrees():
     # forms with a common projective root at infinity have zero resultant
-    s, t, x, y = _vars()
+    s, t = _diagonal_vars()
     f = s + t            # t-degree 1, declared 2: shares the root t=inf with g
     g = 2 * s - t
-    assert not sylvester_resultant(f, g, "t", deg_f=2, deg_g=2)
-    assert sylvester_resultant(f, g, "t", deg_f=1, deg_g=1) == 3 * s
+    assert not any(_res(f, g))
+    assert not sylvester_resultant(f, g, "t", 2, 2)
+    assert sylvester_resultant(f, g, "t", 1, 1) == 3 * s
+    # one root at infinity only: the resultant is nonzero
+    assert _res(f, t * g) == _dense(sylvester_resultant(f, t * g, "t", 2, 2))
+    assert any(_res(f, t * g))
 
 
-def _naive_det(rows):
-    """First-row Laplace expansion with no memoization."""
-    if len(rows) == 1:
-        return rows[0][0]
-    total = Polynomial.zero(rows[0][0].registry)
-    for j, entry in enumerate(rows[0]):
-        minor = _naive_det([r[:j] + r[j + 1:] for r in rows[1:]])
-        total = total - entry * minor if j % 2 else total + entry * minor
-    return total
-
-
-def _sylvester_rows(f, g):
-    """Sylvester matrix in t of two bidegree forms, from the textbook definition."""
-    m, n = f.degrees[1], g.degrees[1]
-    zero = Polynomial.zero(f.poly.registry)
-    fc = f.coefficients("t")[::-1]  # descending powers of t
-    gc = g.coefficients("t")[::-1]
-    return ([[zero] * k + fc + [zero] * (n - 1 - k) for k in range(n)]
-            + [[zero] * k + gc + [zero] * (m - 1 - k) for k in range(m)])
-
-
-def _random_form(rng, registry, t_degree):
-    p = Polynomial.zero(registry)
-    for _ in range(rng.randint(1, 4)):
-        mono = (rng.randint(0, 2), rng.randint(0, t_degree))
-        p = p + Polynomial(registry, {mono: Fraction(rng.randint(-4, 4), rng.randint(1, 2))})
-    return BidegreeForm(p, (2, t_degree))
+def _random_grid(rng, zero_t2=False, zero_s2=False):
+    grid = [[rng.randint(-6, 6) if rng.random() < 0.7 else 0 for _ in range(3)]
+            for _ in range(3)]
+    if zero_t2:
+        grid[2] = [0, 0, 0]
+    if zero_s2:
+        for row in grid:
+            row[2] = 0
+    return grid
 
 
 def test_sylvester_resultant_matches_naive_laplace():
-    reg = VariableRegistry(("s", "t"))
     rng = random.Random(53)
-    for _ in range(60):
-        f = _random_form(rng, reg, rng.randint(1, 3))
-        g = _random_form(rng, reg, rng.randint(1, 3))
-        res = sylvester_resultant(f.poly, g.poly, "t", f.degrees[1], g.degrees[1])
-        assert res == _naive_det(_sylvester_rows(f, g))
-
-    # declared t-degrees above the actual ones: both forms vanish at t = inf
-    s, t = Polynomial.variables(reg, "s", "t")
-    f = BidegreeForm(s * t + 1, (2, 2))
-    g = BidegreeForm(2 * t - s ** 2, (2, 2))
-    assert not _naive_det(_sylvester_rows(f, g))
-    assert not sylvester_resultant(f.poly, g.poly, "t", 2, 2)
-    # the same coprime pair at its actual degrees has a nonzero resultant
-    f, g = BidegreeForm(f.poly, (2, 1)), BidegreeForm(g.poly, (2, 1))
-    res = sylvester_resultant(f.poly, g.poly, "t", 1, 1)
-    assert res == _naive_det(_sylvester_rows(f, g)) == -(s ** 3) - 2
+    kinds = {"random": {}, "zero-t2": {"zero_t2": True}, "zero-s2": {"zero_s2": True}}
+    for _ in range(40):
+        for kind, options in kinds.items():
+            f = _random_grid(rng, **options)
+            g = _random_grid(rng, **options) if rng.random() < 0.5 else _random_grid(rng)
+            assert wm.t_resultant(f, g) == reference_t_resultant(f, g), (kind, f, g)
+    for _ in range(10):
+        f = _random_grid(rng)
+        zero = [[0] * 3 for _ in range(3)]
+        assert wm.t_resultant(f, f) == reference_t_resultant(f, f) == [0] * 9
+        assert wm.t_resultant(f, zero) == reference_t_resultant(f, zero) == [0] * 9
+        assert wm.t_resultant(zero, f) == [0] * 9
+    # zero t^2 rows in both: the root t = infinity is shared, the resultant vanishes
+    f, g = _random_grid(rng, zero_t2=True), _random_grid(rng, zero_t2=True)
+    assert wm.t_resultant(f, g) == [0] * 9
+    # the Sylvester rows of the oracle are the textbook ones
+    s, t = _diagonal_vars()
+    rows = sylvester_rows(s * t + 1, 2 * t - s ** 2, "t", 1, 1)
+    assert naive_det(rows) == -(s ** 3) - 2
 
 
 def test_common_root_detection_matches_evaluation():
-    # resultant vanishes at a specialization iff the pair has a common root there
-    s, t, x, y = _vars()
+    # the resultant vanishes at a specialization iff the pair has a common root there
+    s, t = _diagonal_vars()
     f = (t - s) * (t - 2)
     g = (t - s) * (t + 1)
-    r = sylvester_resultant(f, g, "t")
-    assert not r.evaluate({"s": 5, "t": 0}) or True  # r is in s only
-    assert r.evaluate({"s": 5}) == 0  # common root t = s
+    values = _res(f, g)
+    assert sum(c * 5 ** j for j, c in enumerate(values)) == 0  # common root t = s
     h = (t - 3) * (t + 1)
-    r2 = sylvester_resultant(f, h, "t")
-    assert r2.evaluate({"s": 5})  # no common root for s = 5
-    assert not r2.evaluate({"s": 3})  # common root t = 3 when s = 3
+    values = _res(f, h)
+    assert sum(c * 5 ** j for j, c in enumerate(values))  # no common root for s = 5
+    assert not sum(c * 3 ** j for j, c in enumerate(values))  # common root t = 3 when s = 3
 
 
 def test_change_registry():
@@ -307,7 +319,6 @@ def test_leading_and_degrees():
     mono, coeff = p.leading()
     assert mono == REG.monomial(s=1, t=2) and coeff == 1
     assert p.total_degree() == 3
-    assert p.degree_in("t") == 2
     assert Polynomial.zero(REG).total_degree() == -1
     with pytest.raises(ValueError):
         Polynomial.zero(REG).leading()
@@ -315,23 +326,21 @@ def test_leading_and_degrees():
 
 def test_constant_value_and_bool():
     c = Polynomial.constant(REG, IMAG_UNIT)
-    assert c.constant_value() == IMAG_UNIT
+    assert c.coefficient(REG.unit_monomial()) == IMAG_UNIT and c.term_count() == 1
+    assert c.total_degree() == 0
     assert not Polynomial.zero(REG)
-    s = Polynomial.variable(REG, "s")
-    with pytest.raises(ValueError):
-        s.constant_value()
+    assert Polynomial.variable(REG, "s")
 
 
 def test_bidegree_form():
-    reg = VariableRegistry(("s", "t"))
-    s, t = Polynomial.variables(reg, "s", "t")
-    form = BidegreeForm(s ** 2 * t + t ** 2, (2, 2))
-    coeffs = form.coefficients("t")
-    assert len(coeffs) == 3
-    assert coeffs[0] == Polynomial.zero(reg)
-    assert coeffs[1] == s ** 2
-    assert coeffs[2] == Polynomial.constant(reg, 1)
+    s, t = _diagonal_vars()
+    grid = wm.form_grid(s ** 2 * t + t ** 2)
+    assert grid[0] == [0, 0, 0]
+    assert grid[1] == [0, 0, 1]
+    assert grid[2] == [1, 0, 0]
     with pytest.raises(ValueError):
-        BidegreeForm(s ** 3, (2, 2))
+        wm.form_grid(s ** 3)
     with pytest.raises(ValueError):
-        BidegreeForm(Polynomial.variable(REG, "s"), (2, 2))  # 4-var registry
+        wm.form_grid(Polynomial.variable(REG, "s"))  # 4-var registry
+    with pytest.raises(ValueError):
+        wm.form_grid(Fraction(1, 2) * s)  # not over Z

@@ -436,10 +436,15 @@ def test_fixed_point_free_inconclusive_when_diagonal_is_hit():
     # so no certificate of emptiness may be produced
     hitting = wm.CoefficientTriple.from_rationals(
         [Fraction(1, 2), 0, 0, Fraction(1, 4), 0, 0, Fraction(1, 4), 0, 0])
-    equations = [wm.restrict_to_diagonal(eq)
-                 for eq in wm._elimination_equations(hitting, wm.generators())]
+    gens = wm.generators()
+    equations = [wm.restrict_to_diagonal(gens[target] - (u1 * gens["a1"] + u2 * gens["a2"]
+                                                         + u3 * gens["a3"]))
+                 for target, (u1, u2, u3) in zip(("a4", "a5", "a6"),
+                                                 (hitting.a, hitting.b, hitting.c))]
     point = {"s": 1, "t": 1}
     assert all(eq.evaluate(point) == 0 for eq in equations)
+    # at s = t = 1 a grid's value is the sum of its entries
+    assert all(sum(map(sum, grid)) == 0 for grid in wm._diagonal_equations(hitting))
     assert wm.fixed_point_free_check(hitting) == wm.INCONCLUSIVE
 
 

@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterator, Mapping
 
 from . import __version__
 from .exactnum import rational_from_text
 from .weil_model import (
     CERTIFIED_EMPTY,
+    IDENTITY_NAMES,
     CoefficientTriple,
     check_identities,
     cross_check_determinant,
@@ -288,16 +289,27 @@ def universal_fields() -> "dict[str, object]":
     }
 
 
-def _overall(fields: "dict[str, object]", has_witness: bool) -> str:
-    universal_pass = (
-        all(v == "Pass" for v in fields["identity_verdicts"].values())
-        and fields["eigenspace_dims"] == (6, 4, 3, 3)
-        and fields["chow_coefficient"] == 24
-        and fields["genus"] == 13
-        and fields["det_m_at_origin"] == 1
-        and fields["det_m_term_count"] > 0
-    )
-    return "Pass" if universal_pass and has_witness else "Fail"
+def universal_verdicts(fields: "Mapping[str, object]") -> "dict[str, bool]":
+    """Whether each judged universal field has its required value.
+
+    fields maps Certificate field names to values (universal_fields, or
+    the same fields of a Certificate).  Every identity passes, the
+    eigenspace dimensions are (6, 4, 3, 3), the top intersection number
+    is 24, the genus 13, det M is 1 at the origin and is nonzero.
+    """
+    return {
+        "identity_verdicts": all(fields["identity_verdicts"].get(name) == "Pass"
+                                 for name in IDENTITY_NAMES),
+        "eigenspace_dims": fields["eigenspace_dims"] == (6, 4, 3, 3),
+        "chow_coefficient": fields["chow_coefficient"] == 24,
+        "genus": fields["genus"] == 13,
+        "det_m_at_origin": fields["det_m_at_origin"] == 1,
+        "det_m_nonzero": fields["det_m_nonzero"] is True,
+    }
+
+
+def _overall(fields: "Mapping[str, object]", has_witness: bool) -> str:
+    return "Pass" if all(universal_verdicts(fields).values()) and has_witness else "Fail"
 
 
 def run_pipeline(seed: int, max_attempts: int = 100) -> Certificate:

@@ -559,7 +559,8 @@ def _cmd_certify(args) -> int:
     except OSError as exc:
         print(f"error: cannot write certificate: {exc}", file=sys.stderr)
         return 2
-    from .certify import run_pipeline
+    from .certify import Certificate, run_pipeline, universal_verdicts
+    from .weil_model import IDENTITY_NAMES
 
     try:
         cert = run_pipeline(args.seed, args.max_attempts)
@@ -572,19 +573,16 @@ def _cmd_certify(args) -> int:
     if args.json:
         sys.stdout.write(text)
     else:
+        verdict = {name: "Pass" if ok else "Fail" for name, ok in universal_verdicts(
+            {name: getattr(cert, name) for name in Certificate.__slots__}).items()}
         passed = sum(1 for v in cert.identity_verdicts.values() if v == "Pass")
-        print(f"{'Pass' if passed == 17 else 'Fail'} identities ({passed}/17)")
-        print(f"Pass eigenspace dims {cert.eigenspace_dims}"
-              if cert.eigenspace_dims == (6, 4, 3, 3)
-              else f"Fail eigenspace dims {cert.eigenspace_dims}")
+        print(f"{verdict['identity_verdicts']} identities ({passed}/{len(IDENTITY_NAMES)})")
+        print(f"{verdict['eigenspace_dims']} eigenspace dims {cert.eigenspace_dims}")
         print(f"Pass diagonal factors ({', '.join(str(f) for f in cert.diagonal_factors)})")
-        print(f"{'Pass' if cert.chow_coefficient == 24 else 'Fail'} "
-              f"chow coefficient {cert.chow_coefficient}")
-        print(f"{'Pass' if cert.genus == 13 else 'Fail'} genus {cert.genus}")
-        print(f"{'Pass' if cert.det_m_at_origin == 1 else 'Fail'} "
-              f"det at origin {cert.det_m_at_origin}")
-        print(f"{'Pass' if cert.det_m_nonzero else 'Fail'} "
-              f"det nonzero ({cert.det_m_term_count} terms)")
+        print(f"{verdict['chow_coefficient']} chow coefficient {cert.chow_coefficient}")
+        print(f"{verdict['genus']} genus {cert.genus}")
+        print(f"{verdict['det_m_at_origin']} det at origin {cert.det_m_at_origin}")
+        print(f"{verdict['det_m_nonzero']} det nonzero ({cert.det_m_term_count} terms)")
         if cert.witness_triple is not None:
             triple = ", ".join(str(v) for v in cert.witness_triple.values())
             print(f"Pass witness ({triple}) det {cert.witness_det_m} "

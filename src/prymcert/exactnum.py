@@ -45,11 +45,6 @@ def rational_from_text(text: str) -> Fraction:
         raise ValueError(f"zero denominator: {text!r}") from None
 
 
-def rational_to_text(value: Fraction) -> str:
-    """Render as 'p' or 'p/q' (denominator omitted when 1)."""
-    return str(value)
-
-
 _new_object = object.__new__
 _set_field = object.__setattr__
 
@@ -157,9 +152,6 @@ class GaussianRational(Frozen):
         if isinstance(other, (int, Fraction)):
             return self.inverse() * other
         return NotImplemented
-
-    def conjugate(self):
-        return _gaussian(self.re, -self.im)
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:

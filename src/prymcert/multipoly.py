@@ -310,62 +310,6 @@ class Polynomial:
         (the one-polynomial case of evaluate_all)."""
         return evaluate_all((self,), point)[0]
 
-    def coefficient_vector(
-        self, basis: Sequence[Monomial]
-    ) -> "tuple[list[Polynomial], Polynomial]":
-        """Express the polynomial over basis monomials with polynomial coefficients.
-
-        The carrier variables are those appearing in some basis monomial.  A
-        term whose carrier part matches basis[k] contributes its residual
-        factor to coefficient k; all other terms land in the remainder, so
-        that  self == sum(coeff[k] * basis[k]) + remainder  identically.
-        """
-        basis = [tuple(m) for m in basis]
-        if len(set(basis)) != len(basis):
-            raise ValueError("basis monomials must be distinct")
-        width = len(self.registry)
-        carrier = [False] * width
-        for mono in basis:
-            if len(mono) != width:
-                raise ValueError(f"basis monomial {mono} has wrong arity")
-            for k, e in enumerate(mono):
-                if e:
-                    carrier[k] = True
-        position = {mono: k for k, mono in enumerate(basis)}
-        coeff_terms: list[dict[Monomial, Coefficient]] = [{} for _ in basis]
-        remainder_terms: dict[Monomial, Coefficient] = {}
-        for mono, coeff in self._terms.items():
-            carrier_part = tuple(e if carrier[k] else 0 for k, e in enumerate(mono))
-            rest = tuple(0 if carrier[k] else e for k, e in enumerate(mono))
-            slot = position.get(carrier_part)
-            if slot is None:
-                remainder_terms[mono] = coeff
-            else:
-                coeff_terms[slot][rest] = coeff
-        coeffs = [Polynomial(self.registry, t) for t in coeff_terms]
-        return coeffs, Polynomial(self.registry, remainder_terms)
-
-    def change_registry(self, registry: VariableRegistry) -> "Polynomial":
-        """Re-home the polynomial, mapping variables by name."""
-        if registry == self.registry:
-            return self
-        mapping = [registry.index(n) if n in registry else None
-                   for n in self.registry.names]
-        out: dict[Monomial, Coefficient] = {}
-        width = len(registry)
-        for mono, coeff in self._terms.items():
-            exps = [0] * width
-            for k, e in enumerate(mono):
-                if not e:
-                    continue
-                slot = mapping[k]
-                if slot is None:
-                    raise UnknownVariable(
-                        f"variable {self.registry.names[k]!r} absent from {registry!r}")
-                exps[slot] = e
-            out[tuple(exps)] = coeff
-        return Polynomial(registry, out)
-
     # -- rendering ---------------------------------------------------------------
 
     def render(self) -> str:

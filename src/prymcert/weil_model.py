@@ -17,7 +17,8 @@ exact arithmetic:
     the seven expressions of b-products over invariant quadratics, and
     the nine expressions of c*d-products;
   * the restriction of a1..a6 to the diagonal x=s, y=t (proportionality
-    factors, and base-point-freeness of the restricted system);
+    factors, and base-point-freeness of the restricted system by the
+    common-zero routine described below);
   * the elimination of a4, a5, a6 by linear expressions in a1..a3 with
     coefficients A1..A3, B1..B3, C1..C3, producing the 6x6 matrix that
     expresses the c*d combinations over the invariant quadratics, the
@@ -29,15 +30,20 @@ exact arithmetic:
   * the degree computation in the Chow ring Z[h1..h4]/(h_i^2) giving
     curve genus 13;
   * emptiness of the intersection with the diagonal for a given triple
-    (resultant analysis of the restricted equations), which makes the
-    rotation act freely on the curve.
+    (the same common-zero routine on the restricted equations), which
+    makes the rotation act freely on the curve.
 
 The per-triple checks work on dense data.  An evaluated matrix is built
 by multipoly.evaluate_all, whose one power table per variable serves
 all entries.  The diagonal checks store each restricted (2,2)-form as a
-3x3 integer grid (form_grid) and take t-resultants by the Bezout
-formula for two binary quadratics on coefficient lists in Z[s]
-(t_resultant); no Sylvester matrix and no Polynomial is built per triple.
+3x3 integer grid (form_grid).  One routine, _misses_common_zero, decides
+both of them: it takes the t-resultants of given pairs of grids by the
+Bezout formula for two binary quadratics on coefficient lists in Z[s]
+(t_resultant) and certifies that the forms share no zero on P^1 x P^1
+when the nonzero resultants have no common projective root.
+verify_diagonal passes all 15 pairs of the restricted a1..a6, and
+fixed_point_free_check the pairs (1,2) and (1,3) of a triple's three
+equations.  No Sylvester matrix and no Polynomial is built per triple.
 
 The action convention is pinned by tests: sigma acts on polynomials by
 the substitution s->t, t->x, x->y, y->s, the unique convention for which
@@ -48,6 +54,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from math import gcd
 from typing import Iterable, Mapping, Sequence
 
@@ -234,12 +241,6 @@ class EigenDecomposition:
     def dims(self) -> "tuple[int, int, int, int]":
         return tuple(len(self.bases[label]) for label in EIGENVALUE_LABELS)
 
-    def generator(self, name: str) -> Polynomial:
-        for group in self.bases.values():
-            if name in group:
-                return group[name]
-        raise KeyError(name)
-
 
 def multilinear_monomials(reg: VariableRegistry) -> "list[Monomial]":
     """The 16 exponent tuples with every entry 0 or 1, in graded-lex order."""
@@ -420,13 +421,6 @@ def identity_residuals() -> "dict[str, Polynomial]":
 def check_identities() -> "dict[str, bool]":
     """Verdict per identity name: True iff the residual is the zero polynomial."""
     return {name: not residual for name, residual in identity_residuals().items()}
-
-
-def verify_identities() -> None:
-    """Raise IdentityFailed on the first identity whose residual is nonzero."""
-    for name, residual in identity_residuals().items():
-        if residual:
-            raise IdentityFailed(name, residual)
 
 
 B_IDENTITY_NAMES = IDENTITY_NAMES[1:8]
@@ -613,28 +607,34 @@ def t_resultant(f: "list[list[int]]", g: "list[list[int]]") -> "list[int]":
     return _cross(c20, c20, _cross(a2, b1, a1, b2), _cross(a1, b0, a0, b1))
 
 
+def _misses_common_zero(forms: "Sequence[list[list[int]]]",
+                        pairs: "Iterable[tuple[int, int]]") -> bool:
+    """True when the listed pairs of (2,2)-forms (grids) certify that the
+    forms have no common zero on P^1 x P^1.
+
+    A common zero (s, t) makes the t-resultant of every pair vanish at s.
+    So the forms share no zero when the resultants of the pairs that are
+    not identically zero have no common projective root in s.  An empty
+    set of such resultants certifies nothing, and neither does a single
+    one (a nonzero binary form of degree 8 always has a projective root).
+    """
+    resultants = [(r, 8) for r in (t_resultant(forms[i], forms[j]) for i, j in pairs)
+                  if any(r)]
+    return not _binary_forms_have_common_root(resultants)
+
+
 def verify_diagonal() -> DiagonalReport:
     """Proportionality factors plus base-point-freeness of the restricted system.
 
-    A common projective zero of all six restricted (2,2)-forms would force
-    every pairwise t-resultant (t_resultant, a degree-8 binary form in s)
-    to vanish at its s-coordinate; the analysis certifies emptiness when
-    the nonzero resultants of the 15 pairs of diagonal_grids() have no
-    common projective root.  BasePointFound is raised when emptiness
-    cannot be certified.
+    The six restricted generators (diagonal_grids) have no common zero on
+    P^1 x P^1 when the t-resultants of all 15 pairs certify it
+    (_misses_common_zero, the routine fixed_point_free_check also uses).
+    BasePointFound is raised when emptiness cannot be certified.
     """
     factors = diagonal_restriction_factors()
     grids = list(diagonal_grids().values())
-    resultants = []
-    for i in range(len(grids)):
-        for j in range(i + 1, len(grids)):
-            r = t_resultant(grids[i], grids[j])
-            if any(r):
-                resultants.append((r, 8))
-    if not resultants:
-        raise BasePointFound("every pairwise resultant vanishes identically")
-    if _binary_forms_have_common_root(resultants):
-        raise BasePointFound("pairwise resultants share a projective root")
+    if not _misses_common_zero(grids, combinations(range(len(grids)), 2)):
+        raise BasePointFound("the pairwise resultants do not exclude a common zero")
     return DiagonalReport(factors=factors, base_point_free=True)
 
 
@@ -687,24 +687,16 @@ class EliminationResult:
 
     matrix is 6x6 over Q[A1..C3] with rows indexed by GAMMA_LABELS and
     columns by ALPHA_LABELS; quadric_matrix is the 7x6 relation matrix of
-    the b-products; full_matrix is 9x9 over the basis ALPHA_LABELS +
-    B_BASIS_LABELS, whose last three rows are unit vectors.
+    the b-products (rows B_PRODUCT_LABELS); full_matrix is 9x9 over the
+    basis ALPHA_LABELS + B_BASIS_LABELS, whose last three rows are unit
+    vectors.
     """
 
-    __slots__ = ("alpha_basis", "alpha_labels", "gamma_labels", "matrix",
-                 "quadric_labels", "quadric_matrix", "b_basis_labels", "full_matrix")
+    __slots__ = ("matrix", "quadric_matrix", "full_matrix")
 
-    def __init__(self, alpha_basis: "tuple[Monomial, ...]", alpha_labels: "tuple[str, ...]",
-                 gamma_labels: "tuple[str, ...]", matrix: PolyMatrix,
-                 quadric_labels: "tuple[str, ...]", quadric_matrix: PolyMatrix,
-                 b_basis_labels: "tuple[str, ...]", full_matrix: PolyMatrix):
-        self.alpha_basis = alpha_basis
-        self.alpha_labels = alpha_labels
-        self.gamma_labels = gamma_labels
+    def __init__(self, matrix: PolyMatrix, quadric_matrix: PolyMatrix, full_matrix: PolyMatrix):
         self.matrix = matrix
-        self.quadric_labels = quadric_labels
         self.quadric_matrix = quadric_matrix
-        self.b_basis_labels = b_basis_labels
         self.full_matrix = full_matrix
 
 
@@ -719,7 +711,10 @@ def eliminate() -> EliminationResult:
     Works symbolically: a1..a6 are formal variables, a4, a5, a6 are
     replaced by A/B/C-linear combinations of a1..a3, and every product
     row must land exactly in the span of the six quadratic monomials
-    (NonzeroRemainder otherwise, which would be an engine fault).
+    (NonzeroRemainder otherwise, which would be an engine fault).  The
+    working registry lists a1..a6 before A1..C3, so a substituted term's
+    first six exponents pick its quadratic monomial and the other nine
+    are its monomial in coefficient_registry().
     """
     big = VariableRegistry(INVARIANT_NAMES + COEFF_VARS)
     a = {n: Polynomial.variable(big, n) for n in INVARIANT_NAMES}
@@ -733,14 +728,21 @@ def eliminate() -> EliminationResult:
         big.monomial(a1=2), big.monomial(a2=2), big.monomial(a3=2),
         big.monomial(a1=1, a2=1), big.monomial(a1=1, a3=1), big.monomial(a2=1, a3=1),
     )
+    alpha_slot = {mono[:6]: k for k, mono in enumerate(alpha_basis)}
     small = coefficient_registry()
 
     def eliminated_row(label: str, rhs: Polynomial) -> "list[Polynomial]":
-        image = rhs.substitute(bindings)
-        coeffs, remainder = image.coefficient_vector(alpha_basis)
+        row: list[dict[Monomial, Coefficient]] = [{} for _ in ALPHA_LABELS]
+        remainder = {}
+        for mono, c in rhs.substitute(bindings).items():
+            slot = alpha_slot.get(mono[:6])
+            if slot is None:
+                remainder[mono] = c
+            else:
+                row[slot][mono[6:]] = c
         if remainder:
-            raise NonzeroRemainder(f"{label}: remainder {remainder}")
-        return [c.change_registry(small) for c in coeffs]
+            raise NonzeroRemainder(f"{label}: remainder {Polynomial(big, remainder)}")
+        return [Polynomial(small, terms) for terms in row]
 
     b_rows, cd_rows = _relation_tables(a)
     matrix_rows = [eliminated_row(label, rhs) for label, rhs in cd_rows]
@@ -753,13 +755,8 @@ def eliminate() -> EliminationResult:
         full_rows.append([zero] * 6 + [one if j == k else zero for j in range(3)])
 
     return EliminationResult(
-        alpha_basis=alpha_basis,
-        alpha_labels=ALPHA_LABELS,
-        gamma_labels=GAMMA_LABELS,
         matrix=PolyMatrix.from_rows(matrix_rows),
-        quadric_labels=B_PRODUCT_LABELS,
         quadric_matrix=PolyMatrix.from_rows(quadric_rows),
-        b_basis_labels=B_BASIS_LABELS,
         full_matrix=PolyMatrix.from_rows(full_rows),
     )
 
@@ -857,23 +854,14 @@ def fixed_point_free_check(triple: CoefficientTriple) -> str:
     """Certify that the curve cut out by a triple misses the diagonal.
 
     Restricts the three equations to x = s, y = t as (2,2)-forms on 3x3
-    integer grids (_diagonal_equations), takes the t-resultants of the
-    pairs (1,2) and (1,3) by the Bezout formula (t_resultant, degree-8
-    binary forms in s), and returns CertifiedEmpty when the two
-    resultants have no common projective root, including at infinity.
-    Returns Inconclusive in every degenerate situation (an identically
-    zero restriction or resultant, or a shared root).
+    integer grids (_diagonal_equations) and returns CertifiedEmpty when
+    the t-resultants of the pairs (1,2) and (1,3) certify that they have
+    no common zero (_misses_common_zero, shared with verify_diagonal).
+    Returns Inconclusive otherwise: an identically zero restriction or
+    resultant, or a shared root, including at infinity.
     """
     forms = _diagonal_equations(triple)
-    if not all(any(map(any, form)) for form in forms):
-        return INCONCLUSIVE
-    r12 = t_resultant(forms[0], forms[1])
-    r13 = t_resultant(forms[0], forms[2])
-    if not any(r12) or not any(r13):
-        return INCONCLUSIVE
-    if _binary_forms_have_common_root([(r12, 8), (r13, 8)]):
-        return INCONCLUSIVE
-    return CERTIFIED_EMPTY
+    return CERTIFIED_EMPTY if _misses_common_zero(forms, ((0, 1), (0, 2))) else INCONCLUSIVE
 
 
 def chow_coefficient(factors: "Sequence[Sequence[int]]") -> int:

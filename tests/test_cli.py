@@ -248,6 +248,15 @@ def test_certify_json_output(capsys):
     assert doc["witness_triple"] == ["6", "5", "6", "-6", "6", "-1", "-2", "-8", "-2"]
 
 
+def test_certify_summary_reads_the_universal_verdicts(capsys, monkeypatch):
+    real = certify.universal_fields
+    monkeypatch.setattr(certify, "universal_fields", lambda: {**real(), "genus": 12})
+    assert main(["certify", "--seed", "0"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if line.startswith("Fail")] == ["Fail genus 12",
+                                                                   "Fail overall"]
+
+
 def test_certify_without_witness(capsys):
     assert main(["certify", "--seed", "3", "--max-attempts", "0"]) == 1
     assert "Fail witness" in capsys.readouterr().out
@@ -517,3 +526,26 @@ def test_witness_subcommand_outputs_are_pinned(capsys):
     text = "".join(transcript)
     assert text.count("CertifiedEmpty") == 46 and text.count("Inconclusive") == 4
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED_WITNESS_OUTPUTS
+
+
+# The verify identities|eigenspaces|diagonal|genus outputs (plain and --json)
+# with their exit codes, and the text summary of certify --seed 0.
+PINNED_VERIFY_OUTPUTS = "2cc6e3cf6f58078fd7583b2c7546a2ffb3e8fdf61c6aadeef8ff0a407cbca53c"
+PINNED_CERTIFY_SUMMARY = "be2604f002cca61f73095f44c2073cdf3d03b589d435f1654a3a0f3b94379c4a"
+
+
+def test_verify_outputs_are_pinned(capsys):
+    transcript = []
+    for check in ("identities", "eigenspaces", "diagonal", "genus"):
+        for extra in ([], ["--json"]):
+            code = main(["verify", check] + extra)
+            transcript.append(f"verify {check} {' '.join(extra)} -> {code}\n"
+                              f"{capsys.readouterr().out}")
+    text = "".join(transcript)
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_VERIFY_OUTPUTS
+
+
+def test_certify_summary_is_pinned(capsys):
+    assert main(["certify", "--seed", "0"]) == 0
+    summary = capsys.readouterr().out
+    assert hashlib.sha256(summary.encode()).hexdigest() == PINNED_CERTIFY_SUMMARY

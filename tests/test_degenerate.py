@@ -173,3 +173,37 @@ def test_detm_exit_code_on_a_built_zero(capsys):
     assert json.loads(capsys.readouterr().out) == {"det_m_value": "0"}
     assert main(["detm", at]) == 1
     assert capsys.readouterr().out == "0\n"
+
+
+def _multiples_of_one_grid():
+    """Six multiples of the restricted a2: every pairwise resultant is zero."""
+    grid = wm.diagonal_grids()["a2"]
+    return {name: [[k * c for c in row] for row in grid]
+            for k, name in enumerate(wm.INVARIANT_NAMES, start=1)}
+
+
+def _grids_through_one_one():
+    """Six random (2,2)-grids that all vanish at (s, t) = (1, 1)."""
+    rng = random.Random(5)
+    grids = {}
+    for name in wm.INVARIANT_NAMES:
+        grid = [[rng.randint(-9, 9) for _ in range(3)] for _ in range(3)]
+        grid[0][0] -= sum(map(sum, grid))
+        grids[name] = grid
+    return grids
+
+
+BASE_POINT_GRIDS = {"multiples-of-one-grid": _multiples_of_one_grid(),
+                    "common-zero-at-one-one": _grids_through_one_one()}
+
+
+@pytest.mark.parametrize("name", sorted(BASE_POINT_GRIDS))
+def test_verify_diagonal_finds_a_built_base_point(name, capsys, monkeypatch):
+    monkeypatch.setattr(wm, "diagonal_grids", lambda: BASE_POINT_GRIDS[name])
+    with pytest.raises(wm.BasePointFound):
+        wm.verify_diagonal()
+    assert main(["verify", "diagonal"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("Fail diagonal: ")
+    assert main(["verify", "diagonal", "--json"]) == 1
+    assert set(json.loads(capsys.readouterr().out)) == {"error"}

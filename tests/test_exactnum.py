@@ -11,7 +11,6 @@ from prymcert.exactnum import (
     normalize,
     quotient,
     rational_from_text,
-    rational_to_text,
 )
 
 
@@ -100,8 +99,7 @@ def test_coercion():
 
 def test_conjugate_and_rational_part():
     z = G(Fraction(1, 3), Fraction(-2, 5))
-    assert z.conjugate() == G(Fraction(1, 3), Fraction(2, 5))
-    assert type(z * z.conjugate()) is Fraction  # the norm is rational
+    assert type(z * G(z.re, -z.im)) is Fraction  # the norm is rational
     assert normalize(z) is z  # a nonzero imaginary part keeps z in Q(i)
     assert normalize(G(7)) == 7 and type(normalize(G(7))) is int
 
@@ -119,8 +117,6 @@ def test_rendering():
 
 
 def test_rational_text():
-    assert rational_to_text(Fraction(-3, 4)) == "-3/4"
-    assert rational_to_text(Fraction(6)) == "6"
     assert rational_from_text("-3/4") == Fraction(-3, 4)
     assert rational_from_text(" 7 ") == 7
     with pytest.raises(ValueError):

@@ -14,6 +14,7 @@ import pytest
 
 from prymcert import weil_model as wm
 from sylvester_reference import sylvester_resultant
+from test_degenerate import BASE_POINT_GRIDS, DET_ZERO, MEETING
 
 HEIGHT = 10 ** 6
 
@@ -169,3 +170,31 @@ def test_diagonal_resultants_match_the_oracle():
             r = sylvester_resultant(forms[i], forms[j], "t", 2, 2)
             assert wm.t_resultant(grids[i], grids[j]) == [r.coefficient((k, 0))
                                                           for k in range(9)]
+
+
+BUILT = {**{f"meets-{name}": triple for name, triple in MEETING.items()},
+         **{f"det-zero-{name}": triple for name, triple in DET_ZERO.items()},
+         **{name: wm.CoefficientTriple.from_rationals(values) for name, values in (
+             ("origin", ORIGIN), ("a1-one", A1_ONE), ("zero-det", ZERO_DET),
+             ("meets-diagonal", MEETS_DIAGONAL))}}
+
+
+@pytest.mark.parametrize("name", sorted(BUILT))
+def test_common_zero_routine_at_built_triples(name):
+    triple = BUILT[name]
+    certified = wm._misses_common_zero(wm._diagonal_equations(triple), ((0, 1), (0, 2)))
+    assert certified == (reference_verdict(triple) == wm.CERTIFIED_EMPTY)
+
+
+def test_common_zero_routine_on_built_grids():
+    pairs = [(i, j) for i in range(6) for j in range(i + 1, 6)]
+    assert wm._misses_common_zero(list(wm.diagonal_grids().values()), pairs)
+    for grids in BASE_POINT_GRIDS.values():
+        assert not wm._misses_common_zero(list(grids.values()), pairs)
+    # a zero form leaves one nonzero resultant, a degree-8 form with a root
+    f, g = wm.diagonal_grids()["a4"], wm.diagonal_grids()["a5"]
+    zero = [[0] * 3 for _ in range(3)]
+    assert any(wm.t_resultant(f, g))
+    assert wm._misses_common_zero([f, g], [(0, 1)]) is False
+    assert wm._misses_common_zero([f, zero, g], [(0, 1), (0, 2)]) is False
+    assert wm._misses_common_zero([f, g], []) is False

@@ -136,51 +136,6 @@ def test_evaluate_is_homomorphism():
         assert (p + q).evaluate(point) == p.evaluate(point) + q.evaluate(point)
 
 
-def test_coefficient_vector_examples():
-    reg = VariableRegistry(("a1", "a2", "a3", "C1", "C2", "C3", "b1", "b2"))
-    a1, a2, a3, C1, C2, C3, b1, b2 = Polynomial.variables(
-        reg, "a1", "a2", "a3", "C1", "C2", "C3", "b1", "b2")
-    basis = (
-        reg.monomial(a1=2), reg.monomial(a2=2), reg.monomial(a3=2),
-        reg.monomial(a1=1, a2=1), reg.monomial(a1=1, a3=1), reg.monomial(a2=1, a3=1),
-    )
-    # b1-square relation with the last generator eliminated
-    p = a1 ** 2 - 4 * (a2 * (C1 * a1 + C2 * a2 + C3 * a3))
-    coeffs, remainder = p.coefficient_vector(basis)
-    assert not remainder
-    assert all(c.total_degree() <= 1 for c in coeffs)
-    at_zero = {n: 0 for n in ("C1", "C2", "C3")}
-    values = [c.evaluate(at_zero) for c in coeffs]
-    assert values == [1, 0, 0, 0, 0, 0]
-
-    zero = Polynomial.zero(reg)
-    coeffs, remainder = zero.coefficient_vector(basis)
-    assert all(not c for c in coeffs) and not remainder
-
-    off = b1 * b2
-    coeffs, remainder = off.coefficient_vector(basis)
-    assert all(not c for c in coeffs)
-    assert remainder == off
-
-
-def test_coefficient_vector_reconstruction():
-    rng = random.Random(17)
-    reg = VariableRegistry(("u", "v", "w"))
-    basis = (reg.monomial(u=2), reg.monomial(u=1, v=1), reg.monomial(v=2))
-    for _ in range(60):
-        p = _random_poly(rng, reg, max_terms=6, max_exp=2)
-        coeffs, remainder = p.coefficient_vector(basis)
-        rebuilt = remainder
-        for c, mono in zip(coeffs, basis):
-            rebuilt = rebuilt + c * Polynomial(reg, {mono: 1})
-        assert rebuilt == p
-
-
-def test_coefficient_vector_rejects_duplicates():
-    with pytest.raises(ValueError):
-        Polynomial.zero(REG).coefficient_vector([REG.monomial(s=1), REG.monomial(s=1)])
-
-
 def test_divide_exact():
     # products evaluate to the product of the values at random rational points
     rng = random.Random(19)
@@ -290,17 +245,6 @@ def test_common_root_detection_matches_evaluation():
     values = _res(f, h)
     assert sum(c * 5 ** j for j, c in enumerate(values))  # no common root for s = 5
     assert not sum(c * 3 ** j for j, c in enumerate(values))  # common root t = 3 when s = 3
-
-
-def test_change_registry():
-    s, t, x, y = _vars()
-    big = VariableRegistry(("s", "t", "x", "y", "z"))
-    p = s * t + x
-    moved = p.change_registry(big)
-    assert moved.registry == big
-    assert moved.evaluate({n: 1 for n in big.names}) == 2
-    with pytest.raises(UnknownVariable):
-        p.change_registry(VariableRegistry(("s", "t")))
 
 
 def test_term_order_and_rendering_deterministic():

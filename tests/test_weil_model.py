@@ -98,9 +98,6 @@ def test_invariants_are_tau_invariant():
 def test_eigen_dimensions():
     decomposition = wm.eigen_decomposition()
     assert decomposition.dims == (6, 4, 3, 3)
-    assert decomposition.generator("b4") == wm.generators()["b4"]
-    with pytest.raises(KeyError):
-        decomposition.generator("z9")
 
 
 def test_named_generators_span_v():
@@ -187,7 +184,6 @@ def test_all_seventeen_identities_hold():
     verdicts = wm.check_identities()
     assert len(verdicts) == 17
     assert all(verdicts.values()), [k for k, v in verdicts.items() if not v]
-    wm.verify_identities()
     residuals = wm.identity_residuals()
     assert not residuals["cubic"]
     assert not any(residuals[name] for name in wm.B_IDENTITY_NAMES)
@@ -323,13 +319,35 @@ def test_full_matrix_unit_rows():
 
 
 def test_labels_and_basis_order():
-    elim = wm.eliminate()
-    assert elim.alpha_labels == ("a1^2", "a2^2", "a3^2", "a1*a2", "a1*a3", "a2*a3")
-    assert elim.gamma_labels == ("c1*d1", "c2*d2", "c3*d3",
-                                 "c1*d2-i*c2*d1", "c1*d3+c3*d1", "c2*d3+i*c3*d2")
-    assert elim.quadric_labels == ("b1^2", "b2^2", "b3^2", "b1*b3",
+    assert wm.ALPHA_LABELS == ("a1^2", "a2^2", "a3^2", "a1*a2", "a1*a3", "a2*a3")
+    assert wm.GAMMA_LABELS == ("c1*d1", "c2*d2", "c3*d3",
+                               "c1*d2-i*c2*d1", "c1*d3+c3*d1", "c2*d3+i*c3*d2")
+    assert wm.B_PRODUCT_LABELS == ("b1^2", "b2^2", "b3^2", "b1*b3",
                                    "b1*b4", "b3*b4", "b4^2")
-    assert elim.b_basis_labels == ("b1*b2", "b2*b3", "b2*b4")
+    assert wm.B_BASIS_LABELS == ("b1*b2", "b2*b3", "b2*b4")
+    # rows and columns follow the labels: at the origin a4 = a5 = a6 = 0,
+    # so c2*d2 = a2^2 - 2*a1*a3 + 2*a2*a4 and b1*b3 = a1*a3 - 2*a2*a4
+    elim = wm.eliminate()
+    origin = wm.CoefficientTriple.origin().as_point()
+    assert [e.evaluate(origin) for e in elim.matrix.row(1)] == [0, 1, 0, 0, -2, 0]
+    assert [e.evaluate(origin) for e in elim.quadric_matrix.row(3)] == [0, 0, 0, 0, 1, 0]
+
+
+@pytest.mark.parametrize("table, row, label", [(0, 2, "b3^2"), (1, 4, "c1*d3+c3*d1")],
+                         ids=["b-row", "cd-row"])
+def test_term_outside_the_quadratic_basis_is_a_remainder(monkeypatch, table, row, label):
+    real = wm._relation_tables
+
+    def with_a_cubic_term(a):
+        tables = [list(rows) for rows in real(a)]
+        name, rhs = tables[table][row]
+        tables[table][row] = (name, rhs + a["a1"] * a["a2"] * a["a3"])
+        return tables
+
+    monkeypatch.setattr(wm, "_relation_tables", with_a_cubic_term)
+    with pytest.raises(wm.NonzeroRemainder) as raised:
+        wm.eliminate.__wrapped__()
+    assert str(raised.value) == f"{label}: remainder a1*a2*a3"
 
 
 def test_quadric_matrix_rank_at_origin():

@@ -264,8 +264,8 @@ def universal_fields() -> "dict[str, object]":
     """The certificate fields that do not depend on the seed, freshly computed.
 
     Keys are Certificate field names.  det M is cross-checked at the
-    origin by elimination of the evaluated 6x6 over Q (AssertionError on
-    a mismatch).
+    origin by elimination of the evaluated 6x6 over Q (CheckFailed on a
+    mismatch).
     """
     identity_verdicts = {name: "Pass" if ok else "Fail"
                          for name, ok in check_identities().items()}
@@ -319,7 +319,7 @@ def run_pipeline(seed: int, max_attempts: int = 100) -> Certificate:
     triple passes all three witness conditions within max_attempts, the
     witness fields stay absent and the overall verdict is "Fail".  The
     det M values at the origin and at the witness are cross-checked by
-    elimination of the evaluated 6x6 over Q (AssertionError on a mismatch).
+    elimination of the evaluated 6x6 over Q (CheckFailed on a mismatch).
     """
     fields = universal_fields()
     sampler = SeededSampler(seed)

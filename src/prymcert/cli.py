@@ -25,7 +25,12 @@ check, 2 on usage errors):
     parse --expr STR [--vars s,t,x,y]
 
 Every subcommand accepts --json, which switches the output to the
-certificate field schema.
+certificate field schema.  A usage error prints one "error: <message>"
+line on stderr.  A failed check of the model (prymcert.CheckFailed, such
+as a base point on the diagonal or an identity that does not reduce to
+zero) prints one line "Fail <check>: <message>", where <check> is the
+verify check or else the subcommand, or {"error": "<message>"} under
+--json, and exits 1.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ from fractions import Fraction
 from math import comb
 from typing import Sequence
 
+from . import CheckFailed
 from .exactnum import IMAG_UNIT, GaussianRational, rational_from_text
 from .multipoly import Polynomial, UnknownVariable, VariableRegistry
 
@@ -393,10 +399,14 @@ def parse_poly(text: str, registry: VariableRegistry) -> Polynomial:
 
 # ---------------------------------------------------------------------------
 # subcommands
+#
+# Each handler returns (exit code, JSON document, text lines) and main prints
+# one of the two.  Bad input raises UsageError, a failed check of the model
+# raises CheckFailed; main turns each into its one line.
 # ---------------------------------------------------------------------------
 
-def _emit_json(doc: dict) -> None:
-    print(json.dumps(doc, indent=2))
+class UsageError(ValueError):
+    """Bad user input: main prints "error: <message>" on stderr and exits 2."""
 
 
 def _parse_triple(text: str):
@@ -404,16 +414,16 @@ def _parse_triple(text: str):
 
     parts = text.split(",")
     if len(parts) != 9:
-        raise ValueError(f"need 9 comma-separated rationals, got {len(parts)}")
-    return CoefficientTriple.from_rationals([rational_from_text(p) for p in parts])
+        raise UsageError(f"need 9 comma-separated rationals, got {len(parts)}")
+    try:
+        return CoefficientTriple.from_rationals([rational_from_text(p) for p in parts])
+    except ValueError as exc:
+        raise UsageError(exc) from None
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args):
     from .weil_model import (
         EIGENVALUE_LABELS,
-        BasePointFound,
-        EigenbasisMismatch,
-        IdentityFailed,
         check_identities,
         eigen_decomposition,
         genus_check,
@@ -421,144 +431,72 @@ def _cmd_verify(args) -> int:
     )
 
     if args.check == "identities":
-        verdicts = check_identities()
-        if args.json:
-            _emit_json({"identity_verdicts":
-                        {k: "Pass" if v else "Fail" for k, v in verdicts.items()}})
-        else:
-            for name, ok in verdicts.items():
-                print(f"{'Pass' if ok else 'Fail'} {name}")
-        return 0 if all(verdicts.values()) else 1
-
+        verdicts = {name: "Pass" if ok else "Fail" for name, ok in check_identities().items()}
+        return (0 if all(v == "Pass" for v in verdicts.values()) else 1,
+                {"identity_verdicts": verdicts},
+                [f"{verdict} {name}" for name, verdict in verdicts.items()])
     if args.check == "eigenspaces":
-        try:
-            dims = eigen_decomposition().dims
-        except EigenbasisMismatch as exc:
-            if args.json:
-                _emit_json({"error": str(exc)})
-            else:
-                print(f"Fail eigenspaces: {exc}")
-            return 1
-        if args.json:
-            _emit_json({"eigenspace_dims": list(dims)})
-        else:
-            for label, dim in zip(EIGENVALUE_LABELS, dims):
-                print(f"Pass eigenspace({label}) dimension {dim}")
-        return 0
-
+        dims = eigen_decomposition().dims
+        return 0, {"eigenspace_dims": list(dims)}, [
+            f"Pass eigenspace({label}) dimension {dim}"
+            for label, dim in zip(EIGENVALUE_LABELS, dims)]
     if args.check == "diagonal":
-        try:
-            report = verify_diagonal()
-        except (IdentityFailed, BasePointFound) as exc:
-            if args.json:
-                _emit_json({"error": str(exc)})
-            else:
-                print(f"Fail diagonal: {exc}")
-            return 1
-        if args.json:
-            _emit_json({"diagonal_factors": [str(f) for f in report.factors],
-                        "base_point_free": report.base_point_free})
-        else:
-            for name, factor in zip(("a1", "a2", "a3", "a4", "a5", "a6"), report.factors):
-                print(f"Pass {name}|diagonal factor {factor}")
-            print("Pass base-point-free")
-        return 0
-
-    if args.check == "genus":
-        report = genus_check()
-        if args.json:
-            _emit_json({"chow_coefficient": report.chow_coefficient,
-                        "genus": report.genus})
-        else:
-            print(f"Pass chow coefficient {report.chow_coefficient}")
-            print(f"Pass genus {report.genus}")
-        return 0
-
-    raise AssertionError(args.check)
+        report = verify_diagonal()
+        return 0, {"diagonal_factors": [str(f) for f in report.factors],
+                   "base_point_free": report.base_point_free}, [
+            *(f"Pass {name}|diagonal factor {factor}" for name, factor
+              in zip(("a1", "a2", "a3", "a4", "a5", "a6"), report.factors)),
+            "Pass base-point-free"]
+    report = genus_check()
+    return 0, {"chow_coefficient": report.chow_coefficient, "genus": report.genus}, [
+        f"Pass chow coefficient {report.chow_coefficient}", f"Pass genus {report.genus}"]
 
 
-def _cmd_detm(args) -> int:
+def _cmd_detm(args):
     from .weil_model import CoefficientTriple, determinant_at, elimination_determinant
 
     if args.symbolic:
         det = elimination_determinant()
-        if args.json:
-            _emit_json({
-                "det_m": det.render(),
-                "det_m_term_count": det.term_count(),
-                "det_m_nonzero": bool(det),
-                "det_m_at_origin": str(determinant_at(CoefficientTriple.origin())),
-            })
-        else:
-            print(det.render())
-        return 0 if det else 1
-    try:
-        triple = _parse_triple(args.at)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    value = determinant_at(triple)
-    if args.json:
-        _emit_json({"det_m_value": str(value)})
-    else:
-        print(value)
-    return 0 if value != 0 else 1
+        text = det.render()
+        return 0 if det else 1, {
+            "det_m": text,
+            "det_m_term_count": det.term_count(),
+            "det_m_nonzero": bool(det),
+            "det_m_at_origin": str(determinant_at(CoefficientTriple.origin())),
+        }, [text]
+    value = determinant_at(_parse_triple(args.at))
+    return 0 if value != 0 else 1, {"det_m_value": str(value)}, [str(value)]
 
 
-def _cmd_quadric(args) -> int:
+def _cmd_quadric(args):
     from .weil_model import KernelNotUnique, vanishing_quadric
 
+    triple = _parse_triple(args.at)
     try:
-        triple = _parse_triple(args.at)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        relation = vanishing_quadric(triple)
+        relation = [str(v) for v in vanishing_quadric(triple)]
     except KernelNotUnique as exc:
-        if args.json:
-            _emit_json({"quadric_kernel_dim": exc.dimension})
-        else:
-            print(f"Fail kernel dimension {exc.dimension} (degenerate triple)")
-        return 1
-    if args.json:
-        _emit_json({"quadric_kernel_dim": 1,
-                    "quadric_relation": [str(v) for v in relation]})
-    else:
-        print("Pass kernel dimension 1")
-        print("Q = (" + ", ".join(str(v) for v in relation) + ")")
-    return 0
+        return 1, {"quadric_kernel_dim": exc.dimension}, [
+            f"Fail kernel dimension {exc.dimension} (degenerate triple)"]
+    return 0, {"quadric_kernel_dim": 1, "quadric_relation": relation}, [
+        "Pass kernel dimension 1", "Q = (" + ", ".join(relation) + ")"]
 
 
-def _cmd_fpf(args) -> int:
+def _cmd_fpf(args):
     from .weil_model import CERTIFIED_EMPTY, fixed_point_free_check
 
-    try:
-        triple = _parse_triple(args.at)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    verdict = fixed_point_free_check(triple)
-    if args.json:
-        _emit_json({"fixed_point_free": verdict})
-    else:
-        print(verdict)
-    return 0 if verdict == CERTIFIED_EMPTY else 1
+    verdict = fixed_point_free_check(_parse_triple(args.at))
+    return 0 if verdict == CERTIFIED_EMPTY else 1, {"fixed_point_free": verdict}, [verdict]
 
 
-def _cmd_certify(args) -> int:
+def _cmd_certify(args):
     if args.seed < 0:
-        print(f"error: --seed must be non-negative, got {args.seed}", file=sys.stderr)
-        return 2
+        raise UsageError(f"--seed must be non-negative, got {args.seed}")
     if args.max_attempts < 0:
-        print(f"error: --max-attempts must be non-negative, got {args.max_attempts}",
-              file=sys.stderr)
-        return 2
+        raise UsageError(f"--max-attempts must be non-negative, got {args.max_attempts}")
     try:  # a path that cannot be written fails before the pipeline runs
         out = open(args.out, "w", encoding="utf-8") if args.out else None
     except OSError as exc:
-        print(f"error: cannot write certificate: {exc}", file=sys.stderr)
-        return 2
+        raise UsageError(f"cannot write certificate: {exc}") from None
     from .certify import Certificate, run_pipeline, universal_verdicts
     from .weil_model import IDENTITY_NAMES
 
@@ -570,30 +508,28 @@ def _cmd_certify(args) -> int:
     finally:
         if out is not None:
             out.close()
-    if args.json:
-        sys.stdout.write(text)
+    verdict = {name: "Pass" if ok else "Fail" for name, ok in universal_verdicts(
+        {name: getattr(cert, name) for name in Certificate.__slots__}).items()}
+    passed = sum(1 for v in cert.identity_verdicts.values() if v == "Pass")
+    if cert.witness_triple is not None:
+        triple = ", ".join(str(v) for v in cert.witness_triple.values())
+        witness = (f"Pass witness ({triple}) det {cert.witness_det_m} "
+                   f"kernel {cert.witness_quadric_kernel_dim} {cert.fixed_point_free}")
     else:
-        verdict = {name: "Pass" if ok else "Fail" for name, ok in universal_verdicts(
-            {name: getattr(cert, name) for name in Certificate.__slots__}).items()}
-        passed = sum(1 for v in cert.identity_verdicts.values() if v == "Pass")
-        print(f"{verdict['identity_verdicts']} identities ({passed}/{len(IDENTITY_NAMES)})")
-        print(f"{verdict['eigenspace_dims']} eigenspace dims {cert.eigenspace_dims}")
-        print(f"Pass diagonal factors ({', '.join(str(f) for f in cert.diagonal_factors)})")
-        print(f"{verdict['chow_coefficient']} chow coefficient {cert.chow_coefficient}")
-        print(f"{verdict['genus']} genus {cert.genus}")
-        print(f"{verdict['det_m_at_origin']} det at origin {cert.det_m_at_origin}")
-        print(f"{verdict['det_m_nonzero']} det nonzero ({cert.det_m_term_count} terms)")
-        if cert.witness_triple is not None:
-            triple = ", ".join(str(v) for v in cert.witness_triple.values())
-            print(f"Pass witness ({triple}) det {cert.witness_det_m} "
-                  f"kernel {cert.witness_quadric_kernel_dim} {cert.fixed_point_free}")
-        else:
-            print(f"Fail witness (none within {args.max_attempts} attempts)")
-        print(f"{cert.overall} overall")
-    return 0 if cert.overall == "Pass" else 1
+        witness = f"Fail witness (none within {args.max_attempts} attempts)"
+    return 0 if cert.overall == "Pass" else 1, text, [
+        f"{verdict['identity_verdicts']} identities ({passed}/{len(IDENTITY_NAMES)})",
+        f"{verdict['eigenspace_dims']} eigenspace dims {cert.eigenspace_dims}",
+        f"Pass diagonal factors ({', '.join(str(f) for f in cert.diagonal_factors)})",
+        f"{verdict['chow_coefficient']} chow coefficient {cert.chow_coefficient}",
+        f"{verdict['genus']} genus {cert.genus}",
+        f"{verdict['det_m_at_origin']} det at origin {cert.det_m_at_origin}",
+        f"{verdict['det_m_nonzero']} det nonzero ({cert.det_m_term_count} terms)",
+        witness,
+        f"{cert.overall} overall"]
 
 
-def _cmd_recheck(args) -> int:
+def _cmd_recheck(args):
     from .certify import (
         Certificate,
         CertificateMismatch,
@@ -606,36 +542,21 @@ def _cmd_recheck(args) -> int:
         with open(args.cert, "r", encoding="utf-8") as handle:
             cert = Certificate.from_json(handle.read())
     except (OSError, ValueError) as exc:
-        print(f"error: cannot load certificate: {exc}", file=sys.stderr)
-        return 2
+        raise UsageError(f"cannot load certificate: {exc}") from None
     try:
         verify_certificate(cert)
     except (CertificateMismatch, MissingWitness, WitnessRejected) as exc:
-        if args.json:
-            _emit_json({"recheck": "Fail", "reason": str(exc)})
-        else:
-            print(f"Fail recheck: {exc}")
-        return 1
-    if args.json:
-        _emit_json({"recheck": "Pass"})
-    else:
-        print("Pass recheck")
-    return 0
+        return 1, {"recheck": "Fail", "reason": str(exc)}, [f"Fail recheck: {exc}"]
+    return 0, {"recheck": "Pass"}, ["Pass recheck"]
 
 
-def _cmd_parse(args) -> int:
+def _cmd_parse(args):
     names = tuple(n.strip() for n in args.vars.split(",") if n.strip())
-    try:
-        registry = VariableRegistry(names)
-        text = parse_poly(args.expr, registry).render()  # ValueError past 4300 digits
-    except (ParseError, UnknownVariable, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.json:
-        _emit_json({"polynomial": text})
-    else:
-        print(text)
-    return 0
+    try:  # ParseError and UnknownVariable are ValueErrors, as is a result past 4300 digits
+        text = parse_poly(args.expr, VariableRegistry(names)).render()
+    except ValueError as exc:
+        raise UsageError(exc) from None
+    return 0, {"polynomial": text}, [text]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -697,9 +618,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: "Sequence[str] | None" = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.handler(args)
+    """Run one subcommand and print its outcome; returns the exit code."""
+    args = build_parser().parse_args(argv)
+    try:
+        code, doc, lines = args.handler(args)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except CheckFailed as exc:
+        code, doc = 1, {"error": str(exc)}
+        lines = [f"Fail {getattr(args, 'check', args.command)}: {exc}"]
+    if not args.json:
+        print("\n".join(lines))
+    elif isinstance(doc, str):  # certify: the certificate bytes as written
+        sys.stdout.write(doc)
+    else:
+        print(json.dumps(doc, indent=2))
+    return code
 
 
 def entry_point() -> None:

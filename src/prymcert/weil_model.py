@@ -40,7 +40,7 @@ all entries.  The diagonal checks store each restricted (2,2)-form as a
 both of them: it takes the t-resultants of given pairs of grids by the
 Bezout formula for two binary quadratics on coefficient lists in Z[s]
 (t_resultant) and certifies that the forms share no zero on P^1 x P^1
-when the nonzero resultants have no common projective root.
+when the resultants have no common projective root.
 verify_diagonal passes all 15 pairs of the restricted a1..a6, and
 fixed_point_free_check the pairs (1,2) and (1,3) of a triple's three
 equations.  No Sylvester matrix and no Polynomial is built per triple.
@@ -58,6 +58,7 @@ from itertools import combinations
 from math import gcd
 from typing import Iterable, Mapping, Sequence
 
+from . import CheckFailed
 from .exactnum import (
     Coefficient,
     Frozen,
@@ -87,7 +88,7 @@ CERTIFIED_EMPTY = "CertifiedEmpty"
 INCONCLUSIVE = "Inconclusive"
 
 
-class IdentityFailed(AssertionError):
+class IdentityFailed(CheckFailed):
     """A polynomial identity did not reduce to zero."""
 
     def __init__(self, name: str, residual: Polynomial):
@@ -96,15 +97,15 @@ class IdentityFailed(AssertionError):
         self.residual = residual
 
 
-class EigenbasisMismatch(AssertionError):
+class EigenbasisMismatch(CheckFailed):
     """A computed eigenspace does not match the span of the named generators."""
 
 
-class BasePointFound(AssertionError):
+class BasePointFound(CheckFailed):
     """The restricted linear system could not be certified base-point free."""
 
 
-class NonzeroRemainder(AssertionError):
+class NonzeroRemainder(CheckFailed):
     """Elimination left a component outside the quadratic basis (engine fault)."""
 
 
@@ -514,26 +515,6 @@ def diagonal_restriction_factors() -> "tuple[int | Fraction, ...]":
     return tuple(factors)
 
 
-def _binary_forms_have_common_root(forms: "list[tuple[list[Coefficient], int]]") -> bool:
-    """Common projective root test for scalar binary forms.
-
-    Each entry is (dense ascending coefficients, declared degree).  The
-    forms share a projective root iff the gcd of the dehomogenized
-    polynomials is nonconstant, or every form has a root at infinity
-    (actual degree below the declared one).
-    """
-    if not forms:
-        return True
-    if all(_poly_degree(c) < d for c, d in forms):
-        return True  # common root at infinity
-    gcd = None
-    for coeffs, _ in forms:
-        gcd = coeffs if gcd is None else _univariate_gcd(gcd, coeffs)
-        if _poly_degree(gcd) == 0:
-            return False
-    return _poly_degree(gcd) != 0
-
-
 def _poly_degree(coeffs: "list[Coefficient]") -> int:
     for k in range(len(coeffs) - 1, -1, -1):
         if coeffs[k]:
@@ -613,14 +594,23 @@ def _misses_common_zero(forms: "Sequence[list[list[int]]]",
     forms have no common zero on P^1 x P^1.
 
     A common zero (s, t) makes the t-resultant of every pair vanish at s.
-    So the forms share no zero when the resultants of the pairs that are
-    not identically zero have no common projective root in s.  An empty
-    set of such resultants certifies nothing, and neither does a single
-    one (a nonzero binary form of degree 8 always has a projective root).
+    So the forms share no zero when the resultants, binary forms of degree
+    8 in s, have no common projective root: some resultant keeps degree 8
+    (no root at infinity), and the gcd of the resultants as polynomials in
+    s is constant.  An identically zero resultant vanishes everywhere and
+    so constrains nothing (_univariate_gcd(f, 0) is f).  An empty set of
+    resultants certifies nothing, and neither does a single nonzero one (a
+    binary form of degree 8 always has a projective root).
     """
-    resultants = [(r, 8) for r in (t_resultant(forms[i], forms[j]) for i, j in pairs)
-                  if any(r)]
-    return not _binary_forms_have_common_root(resultants)
+    resultants = [t_resultant(forms[i], forms[j]) for i, j in pairs]
+    if all(_poly_degree(r) < 8 for r in resultants):
+        return False  # a common root at infinity
+    common = None
+    for r in resultants:
+        common = r if common is None else _univariate_gcd(common, r)
+        if _poly_degree(common) == 0:
+            return True
+    return False
 
 
 def verify_diagonal() -> DiagonalReport:
@@ -775,7 +765,7 @@ def elimination_determinant() -> Polynomial:
     det = det_expansion(result.matrix)
     det_full = det_expansion(result.full_matrix)
     if det_full != det and det_full != -det:
-        raise AssertionError("9x9 determinant disagrees with the 6x6 determinant")
+        raise CheckFailed("9x9 determinant disagrees with the 6x6 determinant")
     return det
 
 
@@ -817,12 +807,12 @@ def cross_check_determinant(triple: CoefficientTriple, value: Rational) -> None:
     Evaluates the 6x6 elimination matrix at the triple and takes its
     determinant over Q by Gauss-Jordan elimination, which shares no code
     with the cofactor expansion behind elimination_determinant; raises
-    AssertionError when the two disagree.
+    CheckFailed when the two disagree.
     """
     scalar = _evaluate_matrix(eliminate().matrix, triple.as_point())
     numeric = det_rref(scalar)
     if numeric != value:
-        raise AssertionError(
+        raise CheckFailed(
             f"det M at {', '.join(map(str, triple.values()))}: "
             f"symbolic value {value}, Gauss-Jordan value {numeric}")
 
@@ -900,15 +890,10 @@ def genus_check() -> GenusReport:
 
     The curve is cut by three classes H = h1+h2+h3+h4 and its canonical
     degree is the top intersection H^4 = 24, so 2g - 2 = 24 and g = 13.
+    CheckFailed when H^4 is not 24.
     """
     hyperplane = (1, 1, 1, 1)
     top = chow_coefficient([hyperplane] * 4)
     if top != 24:
-        raise AssertionError(f"top intersection number {top}, expected 24")
-    degree = top
-    if degree % 2 != 0:
-        raise AssertionError("canonical degree must be even")
-    genus = degree // 2 + 1
-    if genus != 13:
-        raise AssertionError(f"genus {genus}, expected 13")
-    return GenusReport(chow_coefficient=top, genus=genus)
+        raise CheckFailed(f"top intersection number {top}, expected 24")
+    return GenusReport(chow_coefficient=top, genus=top // 2 + 1)

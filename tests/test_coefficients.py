@@ -74,18 +74,18 @@ def test_resultant_coefficient_lists(triple, monkeypatch):
     resultants = []
     seen = []
     real_resultant = wm.t_resultant
-    real_common_root = wm._binary_forms_have_common_root
+    real_gcd = wm._univariate_gcd
 
     def resultant_spy(*args, **kwargs):
         resultants.append(real_resultant(*args, **kwargs))
         return resultants[-1]
 
-    def common_root_spy(forms):
-        seen.extend(coeffs for coeffs, _ in forms)
-        return real_common_root(forms)
+    def gcd_spy(a, b):  # the one gcd of two resultants sees both of them
+        seen.extend((a, b))
+        return real_gcd(a, b)
 
     monkeypatch.setattr(wm, "t_resultant", resultant_spy)
-    monkeypatch.setattr(wm, "_binary_forms_have_common_root", common_root_spy)
+    monkeypatch.setattr(wm, "_univariate_gcd", gcd_spy)
     assert wm.fixed_point_free_check(triple) == wm.CERTIFIED_EMPTY
     assert len(resultants) == 2 and len(seen) == 2
     for coeffs in resultants + seen:

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import pytest
 
-from prymcert import certify
+from prymcert import CheckFailed, certify
 from prymcert import weil_model as wm
 from prymcert.cli import main
 from prymcert.multipoly import Polynomial, VariableRegistry
@@ -197,13 +197,60 @@ BASE_POINT_GRIDS = {"multiples-of-one-grid": _multiples_of_one_grid(),
                     "common-zero-at-one-one": _grids_through_one_one()}
 
 
+def assert_one_fail_line(argv, check, capsys):
+    """A failed check of the model: exit 1, one stdout line "Fail <check>: ...",
+    {"error": ...} under --json, and nothing on stderr.  Returns the line."""
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"Fail {check}: "), captured.out
+    assert captured.err == ""
+    assert main(argv + ["--json"]) == 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.out) == {"error": lines[0].split(": ", 1)[1]}
+    assert captured.err == ""
+    return lines[0]
+
+
 @pytest.mark.parametrize("name", sorted(BASE_POINT_GRIDS))
-def test_verify_diagonal_finds_a_built_base_point(name, capsys, monkeypatch):
+def test_verify_diagonal_finds_a_built_base_point(name, seed0_document, tmp_path, capsys,
+                                                  monkeypatch):
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(seed0_document))
     monkeypatch.setattr(wm, "diagonal_grids", lambda: BASE_POINT_GRIDS[name])
     with pytest.raises(wm.BasePointFound):
         wm.verify_diagonal()
-    assert main(["verify", "diagonal"]) == 1
-    lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("Fail diagonal: ")
-    assert main(["verify", "diagonal", "--json"]) == 1
-    assert set(json.loads(capsys.readouterr().out)) == {"error"}
+    for argv, check in [(["verify", "diagonal"], "diagonal"),
+                        (["certify", "--seed", "0"], "certify"),
+                        (["recheck", "--cert", str(path)], "recheck")]:
+        line = assert_one_fail_line(argv, check, capsys)
+        assert line == f"Fail {check}: the pairwise resultants do not exclude a common zero"
+
+
+def test_verify_genus_fails_on_a_wrong_intersection_number(capsys, monkeypatch):
+    monkeypatch.setattr(wm, "chow_coefficient", lambda factors: 22)
+    with pytest.raises(CheckFailed):
+        wm.genus_check()
+    assert assert_one_fail_line(["verify", "genus"], "genus", capsys) == \
+        "Fail genus: top intersection number 22, expected 24"
+
+
+def test_detm_symbolic_fails_on_a_remainder(capsys, monkeypatch):
+    real = wm._relation_tables
+
+    def with_a_cubic_term(a):
+        tables = [list(rows) for rows in real(a)]
+        name, rhs = tables[1][4]
+        tables[1][4] = (name, rhs + a["a1"] * a["a2"] * a["a3"])
+        return tables
+
+    monkeypatch.setattr(wm, "_relation_tables", with_a_cubic_term)
+    wm.eliminate.cache_clear()
+    wm.elimination_determinant.cache_clear()
+    try:
+        line = assert_one_fail_line(["detm", "--symbolic"], "detm", capsys)
+    finally:  # later tests see the true elimination again
+        monkeypatch.undo()
+        wm.eliminate.cache_clear()
+        wm.elimination_determinant.cache_clear()
+    assert line == "Fail detm: c1*d3+c3*d1: remainder a1*a2*a3"

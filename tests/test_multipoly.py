@@ -136,7 +136,7 @@ def test_evaluate_is_homomorphism():
         assert (p + q).evaluate(point) == p.evaluate(point) + q.evaluate(point)
 
 
-def test_divide_exact():
+def test_evaluate_of_a_product():
     # products evaluate to the product of the values at random rational points
     rng = random.Random(19)
     for _ in range(50):
@@ -153,7 +153,7 @@ def _diagonal_vars():
     return Polynomial.variables(DIAG, "s", "t")
 
 
-def test_coefficients_in():
+def test_form_grid_round_trip():
     # form_grid is the dense coefficient table in s and t of a (2,2)-form
     s, t = _diagonal_vars()
     p = s ** 2 * t + 3 * t - 1
@@ -175,7 +175,7 @@ def _dense(poly):
     return [poly.coefficient((j, 0)) for j in range(9)]
 
 
-def test_sylvester_resultant_examples():
+def test_t_resultant_examples():
     s, t = _diagonal_vars()
     assert _res(t ** 2 - s, t - 1) == _dense(1 - s)
     assert _res(t ** 2 - s, t ** 2 - 1) == _dense((1 - s) ** 2)
@@ -187,7 +187,7 @@ def test_sylvester_resultant_examples():
         assert _res(f, g) == _dense(sylvester_resultant(f, g, "t", 2, 2))
 
 
-def test_sylvester_resultant_declared_degrees():
+def test_t_resultant_roots_at_infinity():
     # forms with a common projective root at infinity have zero resultant
     s, t = _diagonal_vars()
     f = s + t            # t-degree 1, declared 2: shares the root t=inf with g
@@ -211,7 +211,7 @@ def _random_grid(rng, zero_t2=False, zero_s2=False):
     return grid
 
 
-def test_sylvester_resultant_matches_naive_laplace():
+def test_t_resultant_matches_sylvester_reference():
     rng = random.Random(53)
     kinds = {"random": {}, "zero-t2": {"zero_t2": True}, "zero-s2": {"zero_s2": True}}
     for _ in range(40):
@@ -276,7 +276,7 @@ def test_constant_value_and_bool():
     assert Polynomial.variable(REG, "s")
 
 
-def test_bidegree_form():
+def test_form_grid_layout_and_errors():
     s, t = _diagonal_vars()
     grid = wm.form_grid(s ** 2 * t + t ** 2)
     assert grid[0] == [0, 0, 0]

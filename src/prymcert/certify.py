@@ -269,7 +269,7 @@ def universal_fields() -> "dict[str, object]":
     """
     identity_verdicts = {name: "Pass" if ok else "Fail"
                          for name, ok in check_identities().items()}
-    dims = eigen_decomposition().dims
+    dims = eigen_decomposition()
     factors = verify_diagonal().factors  # includes the base-point-free certificate
     genus_report = genus_check()
     det = elimination_determinant()

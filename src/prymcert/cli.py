@@ -436,7 +436,7 @@ def _cmd_verify(args):
                 {"identity_verdicts": verdicts},
                 [f"{verdict} {name}" for name, verdict in verdicts.items()])
     if args.check == "eigenspaces":
-        dims = eigen_decomposition().dims
+        dims = eigen_decomposition()
         return 0, {"eigenspace_dims": list(dims)}, [
             f"Pass eigenspace({label}) dimension {dim}"
             for label, dim in zip(EIGENVALUE_LABELS, dims)]
@@ -493,8 +493,10 @@ def _cmd_certify(args):
         raise UsageError(f"--seed must be non-negative, got {args.seed}")
     if args.max_attempts < 0:
         raise UsageError(f"--max-attempts must be non-negative, got {args.max_attempts}")
-    try:  # a path that cannot be written fails before the pipeline runs
-        out = open(args.out, "w", encoding="utf-8") if args.out else None
+    # a path that cannot be written fails before the pipeline runs; "a" opens
+    # without truncating, so a failed check leaves an existing file as it was
+    try:
+        out = open(args.out, "a", encoding="utf-8") if args.out else None
     except OSError as exc:
         raise UsageError(f"cannot write certificate: {exc}") from None
     from .certify import Certificate, run_pipeline, universal_verdicts
@@ -504,6 +506,7 @@ def _cmd_certify(args):
         cert = run_pipeline(args.seed, args.max_attempts)
         text = cert.to_json()
         if out is not None:
+            out.truncate(0)
             out.write(text)
     finally:
         if out is not None:

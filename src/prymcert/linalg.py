@@ -14,8 +14,8 @@ PolyMatrix holds ring elements (polynomials, or any type with +, -, *,
 **0 and bool) and gets its determinant by cofactor expansion along the
 rows, memoized over the set of columns each trailing minor uses; that
 expansion is generic, so it also takes a ScalarMatrix over Q(i).  The
-largest matrix in use is the 9x9 full elimination matrix, where the
-expansion visits at most 2^9 minors.
+largest matrix in use is the 6x6 elimination matrix, where the
+expansion visits at most 2^6 minors.
 """
 
 from __future__ import annotations

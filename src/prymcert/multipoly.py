@@ -27,7 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm, prod
 from operator import add, getitem
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .exactnum import Coefficient, GaussianRational, normalize, quotient
 
@@ -71,9 +71,6 @@ class VariableRegistry:
 
     def __len__(self) -> int:
         return len(self.names)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.names)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, VariableRegistry) and self.names == other.names

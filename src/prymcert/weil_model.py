@@ -21,12 +21,12 @@ exact arithmetic:
     common-zero routine described below);
   * the elimination of a4, a5, a6 by linear expressions in a1..a3 with
     coefficients A1..A3, B1..B3, C1..C3, producing the 6x6 matrix that
-    expresses the c*d combinations over the invariant quadratics, the
-    7x6 relation matrix of the b-products, and the full 9x9 matrix;
+    expresses the c*d combinations over the invariant quadratics and the
+    7x6 relation matrix of the b-products;
   * the determinant certificate (det at the origin is 1, symbolic det is
-    nonzero, the 9x9 determinant agrees up to sign), its evaluation at
-    rational coefficient triples, and the cross-check of an evaluated
-    value against Gauss-Jordan elimination of the evaluated 6x6 over Q;
+    nonzero), its evaluation at rational coefficient triples, and the
+    cross-check of an evaluated value against Gauss-Jordan elimination
+    of the evaluated 6x6 over Q;
   * the degree computation in the Chow ring Z[h1..h4]/(h_i^2) giving
     curve genus 13;
   * emptiness of the intersection with the diagonal for a given triple
@@ -230,19 +230,6 @@ _POWERS_OF_I = (1, IMAG_UNIT, -1, -IMAG_UNIT)
 _EIGENVALUE_EXPONENTS = {"+1": 0, "-1": 2, "+i": 1, "-i": 3}  # label -> e, eigenvalue i^e
 
 
-class EigenDecomposition:
-    """Named eigenbases of the rotation on the 16-dimensional form space."""
-
-    __slots__ = ("bases",)
-
-    def __init__(self, bases: "dict[str, dict[str, Polynomial]]"):
-        self.bases = bases  # eigenvalue label -> name -> poly
-
-    @property
-    def dims(self) -> "tuple[int, int, int, int]":
-        return tuple(len(self.bases[label]) for label in EIGENVALUE_LABELS)
-
-
 def multilinear_monomials(reg: VariableRegistry) -> "list[Monomial]":
     """The 16 exponent tuples with every entry 0 or 1, in graded-lex order."""
     width = len(reg)
@@ -295,7 +282,7 @@ def orbit_basis(e: int,
             for orbit in orbits if e * len(orbit) % 4 == 0}
 
 
-def eigen_decomposition() -> EigenDecomposition:
+def eigen_decomposition() -> "tuple[int, int, int, int]":
     """Match the named generators to the eigenspaces of the rotation.
 
     The alpha-eigenspace is spanned by orbit_basis, whose size is its
@@ -303,13 +290,14 @@ def eigen_decomposition() -> EigenDecomposition:
     as a polynomial identity, and the square matrix of the generators'
     coordinates at the orbit representatives must have a nonzero
     determinant, so they are a basis of that eigenspace.
-    EigenbasisMismatch is raised on any discrepancy.
+    EigenbasisMismatch is raised on any discrepancy.  Returns the
+    dimensions in the order of EIGENVALUE_LABELS.
     """
     reg = chart_registry()
     orbits = sigma_orbits(multilinear_monomials(reg))
     sigma = {m: orbit[(k + 1) % len(orbit)] for orbit in orbits for k, m in enumerate(orbit)}
     gens = generators()
-    bases: dict[str, dict[str, Polynomial]] = {}
+    dims = []
     for label in EIGENVALUE_LABELS:
         e = _EIGENVALUE_EXPONENTS[label]
         alpha = _POWERS_OF_I[e]
@@ -327,8 +315,8 @@ def eigen_decomposition() -> EigenDecomposition:
             [[gens[name].coefficient(m) for m in representatives] for name in names])
         if not det_expansion(coordinates):
             raise EigenbasisMismatch(f"named generators for {label} are dependent")
-        bases[label] = {name: gens[name] for name in names}
-    return EigenDecomposition(bases)
+        dims.append(len(representatives))
+    return tuple(dims)
 
 
 # ---------------------------------------------------------------------------
@@ -669,25 +657,20 @@ GAMMA_LABELS = ("c1*d1", "c2*d2", "c3*d3",
 
 B_PRODUCT_LABELS = ("b1^2", "b2^2", "b3^2", "b1*b3", "b1*b4", "b3*b4", "b4^2")
 
-B_BASIS_LABELS = ("b1*b2", "b2*b3", "b2*b4")
-
 
 class EliminationResult:
     """Everything produced by eliminating a4, a5, a6.
 
     matrix is 6x6 over Q[A1..C3] with rows indexed by GAMMA_LABELS and
     columns by ALPHA_LABELS; quadric_matrix is the 7x6 relation matrix of
-    the b-products (rows B_PRODUCT_LABELS); full_matrix is 9x9 over the
-    basis ALPHA_LABELS + B_BASIS_LABELS, whose last three rows are unit
-    vectors.
+    the b-products (rows B_PRODUCT_LABELS).
     """
 
-    __slots__ = ("matrix", "quadric_matrix", "full_matrix")
+    __slots__ = ("matrix", "quadric_matrix")
 
-    def __init__(self, matrix: PolyMatrix, quadric_matrix: PolyMatrix, full_matrix: PolyMatrix):
+    def __init__(self, matrix: PolyMatrix, quadric_matrix: PolyMatrix):
         self.matrix = matrix
         self.quadric_matrix = quadric_matrix
-        self.full_matrix = full_matrix
 
 
 def coefficient_registry() -> VariableRegistry:
@@ -737,17 +720,9 @@ def eliminate() -> EliminationResult:
     b_rows, cd_rows = _relation_tables(a)
     matrix_rows = [eliminated_row(label, rhs) for label, rhs in cd_rows]
     quadric_rows = [eliminated_row(label, rhs) for label, rhs in b_rows]
-
-    zero = Polynomial.zero(small)
-    one = Polynomial.constant(small, 1)
-    full_rows = [row + [zero] * 3 for row in matrix_rows]
-    for k in range(3):
-        full_rows.append([zero] * 6 + [one if j == k else zero for j in range(3)])
-
     return EliminationResult(
         matrix=PolyMatrix.from_rows(matrix_rows),
         quadric_matrix=PolyMatrix.from_rows(quadric_rows),
-        full_matrix=PolyMatrix.from_rows(full_rows),
     )
 
 
@@ -755,18 +730,12 @@ def eliminate() -> EliminationResult:
 def elimination_determinant() -> Polynomial:
     """The symbolic determinant of the 6x6 elimination matrix.
 
-    Computed by memoized cofactor expansion, then compared with the 9x9
-    determinant by the same expansion (the three unit rows make the big
-    matrix block triangular, so the determinants must agree up to sign).
-    That comparison shares the algorithm; the check that does not is
-    cross_check_determinant, which eliminates the evaluated 6x6 over Q.
+    Computed by memoized cofactor expansion.  The independent check is
+    cross_check_determinant, which shares no code with the expansion: it
+    evaluates the 6x6 at a triple and eliminates it over Q, and every
+    recorded value of det M passes through it.
     """
-    result = eliminate()
-    det = det_expansion(result.matrix)
-    det_full = det_expansion(result.full_matrix)
-    if det_full != det and det_full != -det:
-        raise CheckFailed("9x9 determinant disagrees with the 6x6 determinant")
-    return det
+    return det_expansion(eliminate().matrix)
 
 
 def _evaluate_matrix(pm: PolyMatrix, point: Mapping[str, object]) -> ScalarMatrix:
@@ -871,10 +840,7 @@ def chow_coefficient(factors: "Sequence[Sequence[int]]") -> int:
         # reduce modulo h_k^2: square-free monomials only
         product = Polynomial(reg, {m: c for m, c in product.terms()
                                    if all(e <= 1 for e in m)})
-    top = product.coefficient((1, 1, 1, 1))
-    if not isinstance(top, int):
-        raise ValueError(f"non-integer intersection number {top}")
-    return top
+    return product.coefficient((1, 1, 1, 1))
 
 
 class GenusReport:

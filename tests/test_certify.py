@@ -85,6 +85,16 @@ def test_pipeline_determinism(seed0_certificate):
     assert again.to_json() == seed0_certificate.to_json()
 
 
+def test_pipeline_skips_a_triple_that_fails_a_condition(monkeypatch):
+    # the origin has det M = 1 but a 3-dimensional quadric kernel
+    triples = iter([CoefficientTriple.origin(), CoefficientTriple.from_rationals(SEED0_WITNESS)])
+    monkeypatch.setattr(SeededSampler, "next_triple", lambda self: next(triples))
+    cert = run_pipeline(0, 2)
+    assert cert.overall == "Pass"
+    assert cert.witness_triple.values() == tuple(Fraction(v) for v in SEED0_WITNESS)
+    assert cert.witness_det_m == SEED0_DET
+
+
 def test_pipeline_without_witness_search():
     cert = run_pipeline(5, 0)
     assert cert.overall == "Fail"

@@ -321,8 +321,12 @@ def test_recheck_rejects_degenerate_witness(seed0_document, tmp_path, capsys,
     lambda doc: {**doc, "seed": "abc"},
     lambda doc: {k: v for k, v in doc.items() if k != "witness_det_m"},
     lambda doc: {**doc, "witness_det_m": "1" * 5000},  # past the int-string limit
+    lambda doc: {**doc, "identity_verdicts": {"cubic": True}},
+    lambda doc: {**doc, "eigenspace_dims": [6, 4, 3, "3"]},
+    lambda doc: {**doc, "eigenspace_dims": [6, 4, 3]},
 ], ids=["witness_triple_int", "null_kernel_dim", "top_level_list", "negative_seed",
-        "text_seed", "missing_witness_det", "oversized_rational"])
+        "text_seed", "missing_witness_det", "oversized_rational", "verdict_not_text",
+        "dims_item_text", "dims_too_short"])
 def test_recheck_rejects_malformed_certificate(seed0_document, tmp_path, capsys, edit):
     assert _recheck(tmp_path, edit(dict(seed0_document))) == 2
     captured = capsys.readouterr()

@@ -41,7 +41,7 @@ def test_det_m_coefficients_are_integers():
 
 def test_elimination_matrix_entries():
     result = wm.eliminate()
-    for matrix in (result.matrix, result.quadric_matrix, result.full_matrix):
+    for matrix in (result.matrix, result.quadric_matrix):
         for i in range(matrix.rows):
             for entry in matrix.row(i):
                 assert_polynomial_canonical(entry)

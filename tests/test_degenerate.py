@@ -20,6 +20,7 @@ import pytest
 from prymcert import CheckFailed, certify
 from prymcert import weil_model as wm
 from prymcert.cli import main
+from prymcert.exactnum import IMAG_UNIT
 from prymcert.multipoly import Polynomial, VariableRegistry
 
 ROWS = (("a4", "a"), ("a5", "b"), ("a6", "c"))
@@ -217,14 +218,63 @@ def test_verify_diagonal_finds_a_built_base_point(name, seed0_document, tmp_path
                                                   monkeypatch):
     path = tmp_path / "cert.json"
     path.write_text(json.dumps(seed0_document))
+    out = tmp_path / "out.json"
+    assert main(["certify", "--seed", "0", "--out", str(out)]) == 0
+    capsys.readouterr()
+    written = out.read_bytes()
+    assert len(written) == 967
     monkeypatch.setattr(wm, "diagonal_grids", lambda: BASE_POINT_GRIDS[name])
     with pytest.raises(wm.BasePointFound):
         wm.verify_diagonal()
     for argv, check in [(["verify", "diagonal"], "diagonal"),
                         (["certify", "--seed", "0"], "certify"),
+                        (["certify", "--seed", "0", "--out", str(out)], "certify"),
                         (["recheck", "--cert", str(path)], "recheck")]:
         line = assert_one_fail_line(argv, check, capsys)
         assert line == f"Fail {check}: the pairwise resultants do not exclude a common zero"
+    assert out.read_bytes() == written  # a failed certify leaves the old certificate
+
+
+def _wrong_restrictions():
+    """(generator, restricted form, residual in the Fail line): one per raise
+    of diagonal_restriction_factors."""
+    reg = wm.diagonal_registry()
+    s, t = Polynomial.variables(reg, "s", "t")
+    return {"zero-form": ("a2", Polynomial.zero(reg), "0"),
+            "gaussian-factor": ("a2", IMAG_UNIT * (s * t), "i*s*t"),
+            "not-proportional": ("a1", s + 2 * t, "t")}
+
+
+WRONG_RESTRICTIONS = _wrong_restrictions()
+
+
+@pytest.mark.parametrize("case", sorted(WRONG_RESTRICTIONS))
+def test_verify_diagonal_fails_on_a_wrong_restriction(case, capsys, monkeypatch):
+    name, form, residual = WRONG_RESTRICTIONS[case]
+    changed = {**wm.diagonal_generators(), name: form}
+    monkeypatch.setattr(wm, "diagonal_generators", lambda: changed)
+    assert assert_one_fail_line(["verify", "diagonal"], "diagonal", capsys) == \
+        f"Fail diagonal: identity '{name}|diag' has nonzero residual {residual}"
+
+
+def test_certify_fails_on_a_wrong_symbolic_determinant(capsys, monkeypatch):
+    # the cofactor expansion itself is off by a constant term, so a check that
+    # reruns the expansion shares the fault; only Gauss-Jordan over Q can object
+    real = wm.det_expansion
+
+    def off_by_one(matrix):
+        det = real(matrix)
+        return det + 1 if isinstance(det, Polynomial) else det
+
+    monkeypatch.setattr(wm, "det_expansion", off_by_one)
+    wm.elimination_determinant.cache_clear()
+    try:
+        line = assert_one_fail_line(["certify", "--seed", "0"], "certify", capsys)
+    finally:  # later tests see the true determinant again
+        monkeypatch.undo()
+        wm.elimination_determinant.cache_clear()
+    assert line == ("Fail certify: det M at 0, 0, 0, 0, 0, 0, 0, 0, 0: "
+                    "symbolic value 2, Gauss-Jordan value 1")
 
 
 def test_verify_genus_fails_on_a_wrong_intersection_number(capsys, monkeypatch):

@@ -95,7 +95,7 @@ def test_det_m(kind):
 def test_elimination_matrix_entries(kind):
     result = wm.eliminate()
     point = COEFF_POINTS[kind]
-    for matrix in (result.matrix, result.quadric_matrix, result.full_matrix):
+    for matrix in (result.matrix, result.quadric_matrix):
         for i in range(matrix.rows):
             for entry in matrix.row(i):
                 assert_same(entry.evaluate(point), reference_evaluate(entry, point))
@@ -151,7 +151,7 @@ def test_unbound_variable():
 def test_shared_table_matches_per_entry_evaluation(kind):
     result = wm.eliminate()
     point = COEFF_POINTS[kind]
-    for matrix in (result.matrix, result.quadric_matrix, result.full_matrix):
+    for matrix in (result.matrix, result.quadric_matrix):
         entries = [e for row in matrix.entries for e in row]
         shared = evaluate_all(entries, point)
         assert len(shared) == len(entries)

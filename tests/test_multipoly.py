@@ -50,6 +50,12 @@ def _random_point(rng, registry=REG):
 def test_registry_validation():
     with pytest.raises(ValueError):
         VariableRegistry(("s", "s"))
+    with pytest.raises(ValueError, match="empty variable name"):
+        VariableRegistry(("s", ""))
+    with pytest.raises(ValueError, match="negative exponent"):
+        REG.monomial(s=-1)
+    with pytest.raises(ValueError, match="wrong arity"):
+        Polynomial(REG, {(1, 0): 1})
     with pytest.raises(UnknownVariable):
         REG.index("q")
     assert REG.index("x") == 2
@@ -63,6 +69,12 @@ def test_basic_arithmetic():
     p = 3 * s * t - y
     assert p + Polynomial.zero(REG) == p
     assert ((s + t + x + y) ** 2).term_count() == 10
+    assert Polynomial.constant(REG, 3) == 3 and s != 3
+    for exponent in (-1, Fraction(1, 2)):
+        with pytest.raises(ValueError, match="non-negative integer"):
+            s ** exponent
+    with pytest.raises(TypeError):
+        s + "t"
 
 
 def test_ring_axioms_randomized():
@@ -104,6 +116,8 @@ def test_substitute_errors():
     # x is substituted away but y cannot be carried into the small registry
     with pytest.raises(UnknownVariable):
         (x * y).substitute({"x": shrunk})
+    with pytest.raises(RegistryMismatch, match="binding images use registries"):
+        (x * y).substitute({"x": shrunk, "y": s})
 
 
 def test_substitute_is_homomorphism():

@@ -270,8 +270,8 @@ def universal_fields() -> "dict[str, object]":
     identity_verdicts = {name: "Pass" if ok else "Fail"
                          for name, ok in check_identities().items()}
     dims = eigen_decomposition()
-    factors = verify_diagonal().factors  # includes the base-point-free certificate
-    genus_report = genus_check()
+    factors = verify_diagonal()  # includes the base-point-free certificate
+    top, genus = genus_check()
     det = elimination_determinant()
     origin = CoefficientTriple.origin()
     det_at_origin = determinant_at(origin)
@@ -281,8 +281,8 @@ def universal_fields() -> "dict[str, object]":
         "identity_verdicts": identity_verdicts,
         "eigenspace_dims": dims,
         "diagonal_factors": factors,
-        "chow_coefficient": genus_report.chow_coefficient,
-        "genus": genus_report.genus,
+        "chow_coefficient": top,
+        "genus": genus,
         "det_m_at_origin": det_at_origin,
         "det_m_term_count": det.term_count(),
         "det_m_nonzero": bool(det),

@@ -8,11 +8,14 @@ Grammar (LL(1), whitespace-insensitive):
     base     := rational | "i" | identifier | "(" expr ")"
     rational := int ("/" uint)?             # sign only on the numerator
 
-"i" is the imaginary unit, never a variable.  Parse errors carry the
-line and column and the tokens that would have been accepted.  Hostile
-input is bounded: parentheses nest at most MAX_NESTING deep, and a power
-or a product whose size bound exceeds MAX_POWER_SIZE is refused before it
-is computed.
+"i" is the imaginary unit, never a variable.  The parser lowers as it
+reads: each rule returns its Polynomial, and no syntax tree is built.
+Parse errors carry the line and column and the tokens that would have
+been accepted.  Hostile input is bounded: parentheses nest at most
+MAX_NESTING deep, and a power or a product whose size bound exceeds
+MAX_POWER_SIZE is refused before it is computed.  An input with several
+faults (syntax, unknown variable, size) is reported at the first one in
+reading order.
 
 Subcommands (exit 0 iff the requested verdicts all pass, 1 on a failed
 check, 2 on usage errors):
@@ -61,67 +64,6 @@ class ParseError(ValueError):
         self.line = line
         self.column = column
         self.expected = expected
-
-
-# ---------------------------------------------------------------------------
-# AST
-# ---------------------------------------------------------------------------
-
-class RationalLiteral:
-    __slots__ = ("value",)
-
-    def __init__(self, value: Fraction):
-        self.value = value
-
-
-class ImaginaryUnit:
-    __slots__ = ()
-
-
-class VariableReference:
-    __slots__ = ("name", "line", "column")
-
-    def __init__(self, name: str, line: int, column: int):
-        self.name = name
-        self.line = line
-        self.column = column
-
-
-class _Binary:
-    """A node with two operands; Sum, Difference and Product add nothing."""
-
-    __slots__ = ("left", "right")
-
-    def __init__(self, left: object, right: object):
-        self.left = left
-        self.right = right
-
-
-class Sum(_Binary):
-    __slots__ = ()
-
-
-class Difference(_Binary):
-    __slots__ = ()
-
-
-class Product(_Binary):
-    __slots__ = ()
-
-
-class Power:
-    __slots__ = ("base", "exponent")
-
-    def __init__(self, base: object, exponent: int):
-        self.base = base
-        self.exponent = exponent
-
-
-class Group:
-    __slots__ = ("inner",)
-
-    def __init__(self, inner: object):
-        self.inner = inner
 
 
 # ---------------------------------------------------------------------------
@@ -187,101 +129,6 @@ def _tokenize(text: str) -> "list[_Token]":
 MAX_NESTING = 100
 """Deepest parenthesis nesting the parser accepts (it recurses once per level)."""
 
-
-class _Parser:
-    def __init__(self, tokens: "list[_Token]"):
-        self.tokens = tokens
-        self.pos = 0
-        self.depth = 0
-
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind: str, expected: "tuple[str, ...]") -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(f"unexpected {tok.kind} {tok.text!r}",
-                             tok.line, tok.column, expected)
-        return self.advance()
-
-    def parse(self) -> object:
-        node = self.expr()
-        tok = self.peek()
-        if tok.kind != "end":
-            raise ParseError(f"unexpected {tok.kind} {tok.text!r}",
-                             tok.line, tok.column, ("+", "-", "end of input"))
-        return node
-
-    def expr(self) -> object:
-        node = self.term()
-        while self.peek().kind in ("+", "-"):
-            op = self.advance()
-            right = self.term()
-            node = Sum(node, right) if op.kind == "+" else Difference(node, right)
-        return node
-
-    def term(self) -> object:
-        node = self.factor()
-        while self.peek().kind == "*":
-            self.advance()
-            node = Product(node, self.factor())
-        return node
-
-    def factor(self) -> object:
-        node = self.base()
-        if self.peek().kind == "^":
-            self.advance()
-            tok = self.expect("int", ("unsigned integer exponent",))
-            node = Power(node, int(tok.text))
-        return node
-
-    def base(self) -> object:
-        tok = self.peek()
-        if tok.kind == "(":
-            if self.depth == MAX_NESTING:
-                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}",
-                                 tok.line, tok.column)
-            self.advance()
-            self.depth += 1
-            inner = self.expr()
-            self.depth -= 1
-            self.expect(")", (")",))
-            return Group(inner)
-        if tok.kind == "-":  # signed integer literal: only inside rational
-            self.advance()
-            num = self.expect("int", ("integer after unary '-'",))
-            return self._rational(-int(num.text))
-        if tok.kind == "int":
-            self.advance()
-            return self._rational(int(tok.text))
-        if tok.kind == "ident":
-            self.advance()
-            if tok.text == "i":
-                return ImaginaryUnit()
-            return VariableReference(tok.text, tok.line, tok.column)
-        raise ParseError(f"unexpected {tok.kind} {tok.text!r}", tok.line, tok.column,
-                         ("rational", "i", "identifier", "("))
-
-    def _rational(self, numerator: int) -> RationalLiteral:
-        if self.peek().kind == "/":
-            self.advance()
-            tok = self.expect("int", ("unsigned integer denominator",))
-            if int(tok.text) == 0:
-                raise ParseError("zero denominator", tok.line, tok.column)
-            return RationalLiteral(Fraction(numerator, int(tok.text)))
-        return RationalLiteral(Fraction(numerator))
-
-
-def parse_expression(text: str) -> object:
-    """Parse the expression grammar into an AST."""
-    return _Parser(_tokenize(text)).parse()
-
-
 MAX_POWER_SIZE = 1 << 20
 """Largest size (terms times coefficient bits) a power or a product may be bounded by."""
 
@@ -343,58 +190,121 @@ def product_size_bound(left: Polynomial, right: Polynomial) -> int:
     return count * (b1 + b2 + min(t1, t2).bit_length())
 
 
-def lower(node: object, registry: VariableRegistry) -> Polynomial:
-    """Lower an AST to a Polynomial in the given registry.
+class _Parser:
+    """Recursive descent that lowers as it reads: each rule returns the
+    Polynomial, in the registry, of the text it consumed."""
 
-    ValueError, before any work, for a power or a product whose size
-    bound exceeds MAX_POWER_SIZE.  Chains of sums, differences and
-    products are left-deep trees, walked along their left spine without
-    recursion.
-    """
-    if isinstance(node, _Binary):
-        spine = []
-        while isinstance(node, _Binary):
-            spine.append(node)
-            node = node.left
-        value = lower(node, registry)
-        for op in reversed(spine):
-            right = lower(op.right, registry)
-            if isinstance(op, Sum):
-                value = value + right
-            elif isinstance(op, Difference):
-                value = value - right
-            elif product_size_bound(value, right) > MAX_POWER_SIZE:
+    def __init__(self, tokens: "list[_Token]", registry: VariableRegistry):
+        self.tokens = tokens
+        self.registry = registry
+        self.pos = 0
+        self.depth = 0
+
+    def peek(self) -> _Token:
+        return self.tokens[self.pos]
+
+    def advance(self) -> _Token:
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def expect(self, kind: str, expected: "tuple[str, ...]") -> _Token:
+        tok = self.peek()
+        if tok.kind != kind:
+            raise ParseError(f"unexpected {tok.kind} {tok.text!r}",
+                             tok.line, tok.column, expected)
+        return self.advance()
+
+    def parse(self) -> Polynomial:
+        value = self.expr()
+        tok = self.peek()
+        if tok.kind != "end":
+            raise ParseError(f"unexpected {tok.kind} {tok.text!r}",
+                             tok.line, tok.column, ("+", "-", "end of input"))
+        return value
+
+    def expr(self) -> Polynomial:
+        value = self.term()
+        while self.peek().kind in ("+", "-"):
+            if self.advance().kind == "+":
+                value = value + self.term()
+            else:
+                value = value - self.term()
+        return value
+
+    def term(self) -> Polynomial:
+        value = self.factor()
+        while self.peek().kind == "*":
+            self.advance()
+            right = self.factor()
+            if product_size_bound(value, right) > MAX_POWER_SIZE:
                 raise ValueError(f"product too large to compute: its size bound exceeds "
                                  f"{MAX_POWER_SIZE} (terms times coefficient bits)")
-            else:
-                value = value * right
+            value = value * right
         return value
-    if isinstance(node, RationalLiteral):
-        return Polynomial.constant(registry, node.value)
-    if isinstance(node, ImaginaryUnit):
-        return Polynomial.constant(registry, IMAG_UNIT)
-    if isinstance(node, VariableReference):
-        if node.name not in registry:
-            raise UnknownVariable(
-                f"unknown variable {node.name!r} at line {node.line}, "
-                f"column {node.column} (registry {registry.names})")
-        return Polynomial.variable(registry, node.name)
-    if isinstance(node, Power):
-        base = lower(node.base, registry)
-        if power_size_bound(base, node.exponent) > MAX_POWER_SIZE:
-            raise ValueError(f"power too large to compute: its size bound exceeds "
-                             f"{MAX_POWER_SIZE} (terms times coefficient bits)")
-        return base ** node.exponent
-    if isinstance(node, Group):
-        return lower(node.inner, registry)
-    raise TypeError(f"not an AST node: {node!r}")
+
+    def factor(self) -> Polynomial:
+        value = self.base()
+        if self.peek().kind == "^":
+            self.advance()
+            exponent = int(self.expect("int", ("unsigned integer exponent",)).text)
+            if power_size_bound(value, exponent) > MAX_POWER_SIZE:
+                raise ValueError(f"power too large to compute: its size bound exceeds "
+                                 f"{MAX_POWER_SIZE} (terms times coefficient bits)")
+            value = value ** exponent
+        return value
+
+    def base(self) -> Polynomial:
+        tok = self.peek()
+        if tok.kind == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}",
+                                 tok.line, tok.column)
+            self.advance()
+            self.depth += 1
+            inner = self.expr()
+            self.depth -= 1
+            self.expect(")", (")",))
+            return inner
+        if tok.kind == "-":  # signed integer literal: only inside rational
+            self.advance()
+            num = self.expect("int", ("integer after unary '-'",))
+            return self._rational(-int(num.text))
+        if tok.kind == "int":
+            self.advance()
+            return self._rational(int(tok.text))
+        if tok.kind == "ident":
+            self.advance()
+            if tok.text == "i":
+                return Polynomial.constant(self.registry, IMAG_UNIT)
+            if tok.text not in self.registry:
+                raise UnknownVariable(
+                    f"unknown variable {tok.text!r} at line {tok.line}, "
+                    f"column {tok.column} (registry {self.registry.names})")
+            return Polynomial.variable(self.registry, tok.text)
+        raise ParseError(f"unexpected {tok.kind} {tok.text!r}", tok.line, tok.column,
+                         ("rational", "i", "identifier", "("))
+
+    def _rational(self, numerator: int) -> Polynomial:
+        if self.peek().kind == "/":
+            self.advance()
+            tok = self.expect("int", ("unsigned integer denominator",))
+            if int(tok.text) == 0:
+                raise ParseError("zero denominator", tok.line, tok.column)
+            return Polynomial.constant(self.registry, Fraction(numerator, int(tok.text)))
+        return Polynomial.constant(self.registry, Fraction(numerator))
 
 
 def parse_poly(text: str, registry: VariableRegistry) -> Polynomial:
-    """Parse an expression and lower it; the registry must not name 'i'."""
+    """Parse an expression into a Polynomial in the registry, which must not name 'i'.
+
+    ParseError, UnknownVariable, or ValueError for a power or a product
+    whose size bound exceeds MAX_POWER_SIZE (before it is computed):
+    whichever fault comes first in reading order.
+    """
     if "i" in registry:
         raise ValueError("'i' is the imaginary unit and cannot be a variable")
-    return lower(parse_expression(text), registry)
+    return _Parser(_tokenize(text), registry).parse()
 
 
 # ---------------------------------------------------------------------------
@@ -441,15 +351,15 @@ def _cmd_verify(args):
             f"Pass eigenspace({label}) dimension {dim}"
             for label, dim in zip(EIGENVALUE_LABELS, dims)]
     if args.check == "diagonal":
-        report = verify_diagonal()
-        return 0, {"diagonal_factors": [str(f) for f in report.factors],
-                   "base_point_free": report.base_point_free}, [
+        factors = verify_diagonal()  # raises unless base-point-free
+        return 0, {"diagonal_factors": [str(f) for f in factors],
+                   "base_point_free": True}, [
             *(f"Pass {name}|diagonal factor {factor}" for name, factor
-              in zip(("a1", "a2", "a3", "a4", "a5", "a6"), report.factors)),
+              in zip(("a1", "a2", "a3", "a4", "a5", "a6"), factors)),
             "Pass base-point-free"]
-    report = genus_check()
-    return 0, {"chow_coefficient": report.chow_coefficient, "genus": report.genus}, [
-        f"Pass chow coefficient {report.chow_coefficient}", f"Pass genus {report.genus}"]
+    top, genus = genus_check()
+    return 0, {"chow_coefficient": top, "genus": genus}, [
+        f"Pass chow coefficient {top}", f"Pass genus {genus}"]
 
 
 def _cmd_detm(args):
@@ -495,6 +405,9 @@ def _cmd_certify(args):
         raise UsageError(f"--max-attempts must be non-negative, got {args.max_attempts}")
     # a path that cannot be written fails before the pipeline runs; "a" opens
     # without truncating, so a failed check leaves an existing file as it was
+    # (and removes a file that the open created)
+    import os
+    created = bool(args.out) and not os.path.exists(args.out)
     try:
         out = open(args.out, "a", encoding="utf-8") if args.out else None
     except OSError as exc:
@@ -508,6 +421,11 @@ def _cmd_certify(args):
         if out is not None:
             out.truncate(0)
             out.write(text)
+    except BaseException:
+        if created:
+            out.close()
+            os.remove(args.out)
+        raise
     finally:
         if out is not None:
             out.close()

@@ -37,7 +37,7 @@ Rational = Fraction
 def rational_from_text(text: str) -> Fraction:
     """Parse 'p' or 'p/q' into a Fraction (no decimals, no zero denominator)."""
     text = text.strip()
-    if "." in text or "e" in text.lower():
+    if any(c in text for c in ".eE"):
         raise ValueError(f"not a decimal-free rational: {text!r}")
     try:
         return Fraction(text)

@@ -476,14 +476,6 @@ def _diagonal_reference(reg: VariableRegistry) -> "dict[str, Polynomial]":
     }
 
 
-class DiagonalReport:
-    __slots__ = ("factors", "base_point_free")
-
-    def __init__(self, factors: "tuple[int | Fraction, ...]", base_point_free: bool):
-        self.factors = factors  # restricted a_k = factor * reference form
-        self.base_point_free = base_point_free
-
-
 def diagonal_restriction_factors() -> "tuple[int | Fraction, ...]":
     """Exact proportionality factor of each restricted invariant generator."""
     reference = _diagonal_reference(diagonal_registry())
@@ -491,12 +483,13 @@ def diagonal_restriction_factors() -> "tuple[int | Fraction, ...]":
     for name, restricted in diagonal_generators().items():
         ref = reference[name]
         if not restricted:
-            raise IdentityFailed(f"{name}|diag", restricted)
+            raise CheckFailed(f"{name!r} restricts to zero on the diagonal")
         (_, lead_r) = restricted.leading()
         (_, lead_q) = ref.leading()
         factor = quotient(lead_r, lead_q)
         if isinstance(factor, GaussianRational):
-            raise IdentityFailed(f"{name}|diag", restricted)
+            raise CheckFailed(f"{name!r} on the diagonal is not a rational multiple "
+                              f"of its reference form")
         if restricted - factor * ref:
             raise IdentityFailed(f"{name}|diag", restricted - factor * ref)
         factors.append(factor)
@@ -601,8 +594,9 @@ def _misses_common_zero(forms: "Sequence[list[list[int]]]",
     return False
 
 
-def verify_diagonal() -> DiagonalReport:
-    """Proportionality factors plus base-point-freeness of the restricted system.
+def verify_diagonal() -> "tuple[int | Fraction, ...]":
+    """Proportionality factors (restricted a_k = factor * reference form),
+    once the restricted system is certified base-point-free.
 
     The six restricted generators (diagonal_grids) have no common zero on
     P^1 x P^1 when the t-resultants of all 15 pairs certify it
@@ -613,7 +607,7 @@ def verify_diagonal() -> DiagonalReport:
     grids = list(diagonal_grids().values())
     if not _misses_common_zero(grids, combinations(range(len(grids)), 2)):
         raise BasePointFound("the pairwise resultants do not exclude a common zero")
-    return DiagonalReport(factors=factors, base_point_free=True)
+    return factors
 
 
 # ---------------------------------------------------------------------------
@@ -843,16 +837,9 @@ def chow_coefficient(factors: "Sequence[Sequence[int]]") -> int:
     return product.coefficient((1, 1, 1, 1))
 
 
-class GenusReport:
-    __slots__ = ("chow_coefficient", "genus")
-
-    def __init__(self, chow_coefficient: int, genus: int):
-        self.chow_coefficient = chow_coefficient
-        self.genus = genus
-
-
-def genus_check() -> GenusReport:
-    """Degree of the canonical class of the triple intersection, hence the genus.
+def genus_check() -> "tuple[int, int]":
+    """(chow coefficient, genus): the degree of the canonical class of the
+    triple intersection, hence the genus.
 
     The curve is cut by three classes H = h1+h2+h3+h4 and its canonical
     degree is the top intersection H^4 = 24, so 2g - 2 = 24 and g = 13.
@@ -862,4 +849,4 @@ def genus_check() -> GenusReport:
     top = chow_coefficient([hyperplane] * 4)
     if top != 24:
         raise CheckFailed(f"top intersection number {top}, expected 24")
-    return GenusReport(chow_coefficient=top, genus=top // 2 + 1)
+    return top, top // 2 + 1

@@ -57,10 +57,9 @@ def test_criterion_2_eigenspaces():
 
 def test_criterion_3_diagonal_restriction():
     with _Timer(5.0) as timer:
-        report = wm.verify_diagonal()
-        assert report.factors == (Fraction(2), Fraction(4), Fraction(2),
-                                  Fraction(1), Fraction(1), Fraction(1))
-        assert report.base_point_free
+        factors = wm.verify_diagonal()  # raises unless base-point-free
+        assert factors == (Fraction(2), Fraction(4), Fraction(2),
+                           Fraction(1), Fraction(1), Fraction(1))
     timer.report(3, "diagonal factors (2, 4, 2, 1, 1, 1), no common projective zero")
 
 
@@ -86,9 +85,7 @@ def test_criterion_5_quadric_uniqueness():
 
 def test_criterion_6_genus():
     with _Timer(1.0) as timer:
-        report = wm.genus_check()
-        assert report.chow_coefficient == 24
-        assert report.genus == 13
+        assert wm.genus_check() == (24, 13)
     timer.report(6, "intersection number 24, genus 13")
 
 

@@ -14,20 +14,10 @@ import pytest
 import prymcert
 from prymcert import certify
 from prymcert.cli import (
-    Difference,
-    Group,
-    ImaginaryUnit,
     ParseError,
-    Power,
-    Product,
-    RationalLiteral,
-    Sum,
-    VariableReference,
     MAX_NESTING,
     MAX_POWER_SIZE,
-    lower,
     main,
-    parse_expression,
     parse_poly,
     power_size_bound,
     product_size_bound,
@@ -57,19 +47,6 @@ def test_parse_rationals_and_powers():
     p = parse_poly("-3/4 * s^2 + 1/2", REG)
     s = Polynomial.variable(REG, "s")
     assert p == Fraction(-3, 4) * s ** 2 + Fraction(1, 2)
-
-
-def test_parse_ast_shape():
-    ast = parse_expression("(s + 2)*t^3 - i")
-    assert isinstance(ast, Difference)
-    assert isinstance(ast.right, ImaginaryUnit)
-    assert isinstance(ast.left, Product)
-    assert isinstance(ast.left.left, Group)
-    assert isinstance(ast.left.left.inner, Sum)
-    assert isinstance(ast.left.left.inner.right, RationalLiteral)
-    assert isinstance(ast.left.right, Power)
-    assert ast.left.right.exponent == 3
-    assert isinstance(ast.left.right.base, VariableReference)
 
 
 def test_parse_error_positions():
@@ -113,11 +90,6 @@ def test_render_parse_round_trip_random():
                                      Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
             p = p + Polynomial(REG, {mono: coeff})
         assert parse_poly(p.render(), REG) == p
-
-
-def test_lower_rejects_non_ast():
-    with pytest.raises(TypeError):
-        lower("not a node", REG)
 
 
 # -- subcommands -------------------------------------------------------------
@@ -469,6 +441,88 @@ def test_parse_output_too_long_to_render(capsys):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("expr, message", [
+    ("q + )", "unknown variable 'q' at line 1, column 1 (registry ('s', 't', 'x', 'y'))"),
+    ("(s+t+x+y)^100 )", f"power too large to compute: its size bound exceeds "
+                        f"{MAX_POWER_SIZE} (terms times coefficient bits)"),
+], ids=["unknown-variable", "power"])
+def test_parse_reports_the_first_fault_in_reading_order(expr, message, capsys):
+    # each input also has a syntax error after its first fault
+    assert main(["parse", "--expr", expr]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def _parse_inputs(count, seed):
+    """Seeded parse inputs: half valid expressions, half valid expressions
+    given exactly one fault, taken in turn from the kinds below."""
+    rng = random.Random(seed)
+
+    def atom():
+        return rng.choice([str(rng.randint(0, 9)), f"{rng.randint(-9, 9)}/{rng.randint(1, 9)}",
+                           "i", *"stxy"])
+
+    def expression(nested):
+        # a term has at most one group, the square of a sum of monomials, so
+        # no valid expression comes near a size bound
+        terms = []
+        for _ in range(rng.randint(1, 3)):
+            factors = [atom() + rng.choice(["", "", f"^{rng.randint(0, 2 if nested else 4)}"])
+                       for _ in range(rng.randint(1, 2 if nested else 3))]
+            if not nested and rng.random() < 0.4:
+                factors[rng.randrange(len(factors))] = f"({expression(True)})^{rng.randint(1, 2)}"
+            terms.append("*".join(factors))
+        return terms[0] + "".join(rng.choice([" + ", " - ", "+", "-"]) + term
+                                  for term in terms[1:])
+
+    def unknown_variable(text):
+        spots = [k for k, ch in enumerate(text) if ch in "stxy"]
+        if not spots:
+            return text + "*q"
+        k = rng.choice(spots)
+        return text[:k] + rng.choice(["q", "u", "s1", "_w"]) + text[k + 1:]
+
+    def nesting(text):
+        depth = MAX_NESTING + rng.randint(1, 3)
+        return rng.choice(["", "s + ", "2*"]) + "(" * depth + text + ")" * depth
+
+    faults = [
+        lambda text: text + rng.choice([" +", " )", " s", " ^ -1", " * *", " 2/", " $", "()"]),
+        lambda text: (lambda k: text[:k] + rng.choice(")(^*/") + text[k:])(
+            rng.randrange(len(text) + 1)),
+        unknown_variable,
+        lambda text: rng.choice([f"{text} + 1/0", f"-5/0*({text})"]),
+        nesting,
+        lambda text: text + rng.choice([" + (s+t+x+y)^100", "*2^9999999", " - (s+1/3*i)^99999"]),
+        lambda text: text + " + (s+1)^100*(t+1)^100",
+    ]
+    inputs = []
+    for k in range(count):
+        text = expression(False)
+        inputs.append(text if k % 2 == 0 else faults[k // 2 % len(faults)](text))
+    return inputs
+
+
+# The parse outputs (stdout, stderr and exit code, plain and --json) on
+# _parse_inputs(300, seed=29); the hash pins the bytes.
+PINNED_PARSE_OUTPUTS = "b8e22c0a56cb3fbecfd7774b4289246724f499c5b3db9d20a09b46ad9792dd26"
+
+
+def test_parse_outputs_are_pinned(capsys):
+    transcript = []
+    codes = []
+    for text in _parse_inputs(300, seed=29):
+        for extra in ([], ["--json"]):
+            codes.append(main(["parse", f"--expr={text}"] + extra))
+            captured = capsys.readouterr()
+            transcript.append(f"{text!r} {' '.join(extra)} -> {codes[-1]}\n"
+                              f"{captured.out}{captured.err}")
+    text = "".join(transcript)
+    assert codes.count(0) == 300 and codes.count(2) == 300
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_PARSE_OUTPUTS
+
+
 def _fresh_modules(code: str) -> "set[str]":
     """The modules a fresh interpreter imports while running code."""
     src = str(Path(prymcert.__file__).resolve().parents[1])
@@ -481,7 +535,9 @@ def _fresh_modules(code: str) -> "set[str]":
 
 def test_cli_import_needs_no_dataclasses():
     loaded = _fresh_modules("import prymcert.cli")
-    assert "prymcert.cli" in loaded
+    # every module loaded here is compiled by each CLI process, parse included
+    assert {name for name in loaded if name.split(".")[0] == "prymcert"} == {
+        "prymcert", "prymcert.cli", "prymcert.exactnum", "prymcert.multipoly"}
     assert "dataclasses" not in loaded
 
 

@@ -223,26 +223,32 @@ def test_verify_diagonal_finds_a_built_base_point(name, seed0_document, tmp_path
     capsys.readouterr()
     written = out.read_bytes()
     assert len(written) == 967
+    new = tmp_path / "new.json"
     monkeypatch.setattr(wm, "diagonal_grids", lambda: BASE_POINT_GRIDS[name])
     with pytest.raises(wm.BasePointFound):
         wm.verify_diagonal()
     for argv, check in [(["verify", "diagonal"], "diagonal"),
                         (["certify", "--seed", "0"], "certify"),
                         (["certify", "--seed", "0", "--out", str(out)], "certify"),
+                        (["certify", "--seed", "0", "--out", str(new)], "certify"),
                         (["recheck", "--cert", str(path)], "recheck")]:
         line = assert_one_fail_line(argv, check, capsys)
         assert line == f"Fail {check}: the pairwise resultants do not exclude a common zero"
     assert out.read_bytes() == written  # a failed certify leaves the old certificate
+    assert not new.exists()  # and creates no new one
 
 
 def _wrong_restrictions():
-    """(generator, restricted form, residual in the Fail line): one per raise
+    """(generator, restricted form, message of the Fail line): one per raise
     of diagonal_restriction_factors."""
     reg = wm.diagonal_registry()
     s, t = Polynomial.variables(reg, "s", "t")
-    return {"zero-form": ("a2", Polynomial.zero(reg), "0"),
-            "gaussian-factor": ("a2", IMAG_UNIT * (s * t), "i*s*t"),
-            "not-proportional": ("a1", s + 2 * t, "t")}
+    return {"zero-form": ("a2", Polynomial.zero(reg),
+                          "'a2' restricts to zero on the diagonal"),
+            "gaussian-factor": ("a2", IMAG_UNIT * (s * t), "'a2' on the diagonal is not "
+                                "a rational multiple of its reference form"),
+            "not-proportional": ("a1", s + 2 * t,
+                                 "identity 'a1|diag' has nonzero residual t")}
 
 
 WRONG_RESTRICTIONS = _wrong_restrictions()
@@ -250,11 +256,11 @@ WRONG_RESTRICTIONS = _wrong_restrictions()
 
 @pytest.mark.parametrize("case", sorted(WRONG_RESTRICTIONS))
 def test_verify_diagonal_fails_on_a_wrong_restriction(case, capsys, monkeypatch):
-    name, form, residual = WRONG_RESTRICTIONS[case]
+    name, form, message = WRONG_RESTRICTIONS[case]
     changed = {**wm.diagonal_generators(), name: form}
     monkeypatch.setattr(wm, "diagonal_generators", lambda: changed)
     assert assert_one_fail_line(["verify", "diagonal"], "diagonal", capsys) == \
-        f"Fail diagonal: identity '{name}|diag' has nonzero residual {residual}"
+        f"Fail diagonal: {message}"
 
 
 def test_certify_fails_on_a_wrong_symbolic_determinant(capsys, monkeypatch):

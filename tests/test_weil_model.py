@@ -273,14 +273,13 @@ def test_diagonal_checks_restrict_nothing_per_call(monkeypatch):
         raise AssertionError("restricted again")
 
     monkeypatch.setattr(wm, "restrict_to_diagonal", refuse)
-    assert wm.verify_diagonal().base_point_free
+    assert wm.verify_diagonal() == (2, 4, 2, 1, 1, 1)
     assert wm.fixed_point_free_check(WITNESS) == wm.CERTIFIED_EMPTY
 
 
 def test_diagonal_base_point_free():
-    report = wm.verify_diagonal()
-    assert report.base_point_free
-    assert report.factors == wm.diagonal_restriction_factors()
+    # raises BasePointFound unless the restricted system is base-point-free
+    assert wm.verify_diagonal() == wm.diagonal_restriction_factors()
 
 
 # -- elimination ----------------------------------------------------------------
@@ -449,9 +448,7 @@ def test_fixed_point_free_inconclusive_when_diagonal_is_hit():
 
 
 def test_genus():
-    report = wm.genus_check()
-    assert report.chow_coefficient == 24
-    assert report.genus == 13
+    assert wm.genus_check() == (24, 13)
 
 
 def test_chow_partial_products():

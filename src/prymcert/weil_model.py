@@ -7,11 +7,12 @@ eigenvectors a1..a6, b1..b4, c1..c3, d1..d3.  This module certifies, in
 exact arithmetic:
 
   * the eigenspace decomposition of the rotation sigma on V: sigma
-    permutes the 16 multilinear monomials, each eigenspace has one
-    orbit-sum basis vector per sigma-orbit whose size k has lambda^k = 1,
-    and the named generators are matched to it without elimination (the
-    test suite also checks the dihedral relations sigma^4 = tau^2 = 1,
-    tau*sigma*tau = sigma^-1 with the involution tau swapping s and x,
+    permutes the 16 multilinear monomials by rotating their exponent
+    tuples (rotate), each eigenspace has one orbit-sum basis vector per
+    sigma-orbit whose size k has lambda^k = 1, and the named generators
+    are matched to it in one pass over their terms, without elimination
+    (the test suite also checks the dihedral relations sigma^4 = tau^2 =
+    1, tau*sigma*tau = sigma^-1 with the involution tau swapping s and x,
     but no verdict rests on them);
   * the 17 product identities: the unique cubic relation among a1..a6,
     the seven expressions of b-products over invariant quadratics, and
@@ -27,8 +28,8 @@ exact arithmetic:
     nonzero), its evaluation at rational coefficient triples, and the
     cross-check of an evaluated value against Gauss-Jordan elimination
     of the evaluated 6x6 over Q;
-  * the degree computation in the Chow ring Z[h1..h4]/(h_i^2) giving
-    curve genus 13;
+  * the degree computation in the Chow ring Z[h1..h4]/(h_i^2), a
+    permanent, giving curve genus 13;
   * emptiness of the intersection with the diagonal for a given triple
     (the same common-zero routine on the restricted equations), which
     makes the rotation act freely on the curve.
@@ -54,8 +55,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
-from math import gcd
+from itertools import combinations, permutations
+from math import gcd, prod
 from typing import Iterable, Mapping, Sequence
 
 from . import CheckFailed
@@ -88,15 +89,6 @@ CERTIFIED_EMPTY = "CertifiedEmpty"
 INCONCLUSIVE = "Inconclusive"
 
 
-class IdentityFailed(CheckFailed):
-    """A polynomial identity did not reduce to zero."""
-
-    def __init__(self, name: str, residual: Polynomial):
-        super().__init__(f"identity {name!r} has nonzero residual {residual}")
-        self.name = name
-        self.residual = residual
-
-
 class EigenbasisMismatch(CheckFailed):
     """A computed eigenspace does not match the span of the named generators."""
 
@@ -121,65 +113,13 @@ def chart_registry() -> VariableRegistry:
     return VariableRegistry(CHART_VARS)
 
 
-# ---------------------------------------------------------------------------
-# group elements
-# ---------------------------------------------------------------------------
+def rotate(mono: Monomial) -> Monomial:
+    """The image of a chart monomial under sigma, as an exponent tuple.
 
-class GroupElement(Frozen):
-    """A permutation of the chart variables, acting on polynomials by substitution."""
-
-    __slots__ = ("mapping",)
-
-    def __init__(self, mapping: "tuple[tuple[str, str], ...]"):
-        object.__setattr__(self, "mapping", mapping)
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not GroupElement:
-            return NotImplemented
-        return self.mapping == other.mapping
-
-    def __hash__(self) -> int:
-        return hash(self.mapping)
-
-    @classmethod
-    def from_dict(cls, mapping: Mapping[str, str]) -> "GroupElement":
-        complete = {v: mapping.get(v, v) for v in CHART_VARS}
-        if sorted(complete.values()) != sorted(CHART_VARS):
-            raise ValueError(f"not a permutation of {CHART_VARS}: {mapping}")
-        return cls(tuple((v, complete[v]) for v in CHART_VARS))
-
-    def as_dict(self) -> "dict[str, str]":
-        return dict(self.mapping)
-
-    def __mul__(self, other: "GroupElement") -> "GroupElement":
-        # (g * h) acts like g after h: variables map through h's table first
-        mine = self.as_dict()
-        theirs = other.as_dict()
-        return GroupElement.from_dict({v: mine[theirs[v]] for v in CHART_VARS})
-
-
-IDENTITY = GroupElement.from_dict({})
-# rotation: pullback substitution s->t, t->x, x->y, y->s (see module docstring)
-SIGMA = GroupElement.from_dict({"s": "t", "t": "x", "x": "y", "y": "s"})
-
-
-def apply_group(g: GroupElement, poly: Polynomial) -> Polynomial:
-    """Apply a permutation to a polynomial in the chart variables."""
-    reg = poly.registry
-    bindings = {v: Polynomial.variable(reg, img) for v, img in g.mapping if v != img}
-    return poly.substitute(bindings)
-
-
-def permute_monomial(g: GroupElement, mono: Monomial) -> Monomial:
-    """The image of a chart monomial under g, as an exponent tuple.
-
-    The substitution v -> img moves the exponent of v to img, so this is
-    apply_group on one monomial without building polynomials.
+    The pullback s->t, t->x, x->y, y->s (see module docstring) moves the
+    exponent of s to t, of t to x, of x to y and of y to s.
     """
-    image = [0] * len(CHART_VARS)
-    for v, img in g.mapping:
-        image[CHART_VARS.index(img)] = mono[CHART_VARS.index(v)]
-    return tuple(image)
+    return mono[-1:] + mono[:-1]
 
 
 # ---------------------------------------------------------------------------
@@ -216,18 +156,15 @@ def generators() -> "dict[str, Polynomial]":
     return _build_generators(chart_registry())
 
 
-EIGENVALUE_LABELS = ("+1", "-1", "+i", "-i")
-
-_EIGEN_GROUPS = {
-    "+1": ("a1", "a2", "a3", "a4", "a5", "a6"),
-    "-1": ("b1", "b2", "b3", "b4"),
-    "+i": ("c1", "c2", "c3"),
-    "-i": ("d1", "d2", "d3"),
+# eigenvalue label -> (eigenvalue, the named generators of its eigenspace)
+_EIGENSPACES = {
+    "+1": (1, ("a1", "a2", "a3", "a4", "a5", "a6")),
+    "-1": (-1, ("b1", "b2", "b3", "b4")),
+    "+i": (IMAG_UNIT, ("c1", "c2", "c3")),
+    "-i": (-IMAG_UNIT, ("d1", "d2", "d3")),
 }
 
-_POWERS_OF_I = (1, IMAG_UNIT, -1, -IMAG_UNIT)
-
-_EIGENVALUE_EXPONENTS = {"+1": 0, "-1": 2, "+i": 1, "-i": 3}  # label -> e, eigenvalue i^e
+EIGENVALUE_LABELS = tuple(_EIGENSPACES)
 
 
 def multilinear_monomials(reg: VariableRegistry) -> "list[Monomial]":
@@ -241,7 +178,7 @@ def multilinear_monomials(reg: VariableRegistry) -> "list[Monomial]":
 
 
 def sigma_orbits(monos: Sequence[Monomial]) -> "list[tuple[Monomial, ...]]":
-    """The orbits of SIGMA on a sigma-stable list of monomials.
+    """The orbits of sigma (rotate) on a sigma-stable list of monomials.
 
     Each orbit is listed as m, sigma(m), sigma^2(m), ... from its first
     monomial in the order of monos.
@@ -252,63 +189,49 @@ def sigma_orbits(monos: Sequence[Monomial]) -> "list[tuple[Monomial, ...]]":
         if mono in seen:
             continue
         orbit = [mono]
-        image = permute_monomial(SIGMA, mono)
+        image = rotate(mono)
         while image != mono:
             orbit.append(image)
-            image = permute_monomial(SIGMA, image)
+            image = rotate(image)
         seen.update(orbit)
         orbits.append(tuple(orbit))
     return orbits
 
 
-def orbit_basis(e: int,
-                orbits: "Sequence[tuple[Monomial, ...]]") -> "dict[Monomial, Polynomial]":
-    """A basis of the i^e-eigenspace of the rotation on V, keyed by orbit representative.
-
-    orbits are the sigma-orbits of the multilinear monomials (sigma_orbits).
-    For each orbit (m, sigma(m), ..., sigma^(k-1)(m)) whose size k has
-    i^(e*k) = 1, the orbit sum sum_j i^(-e*j) sigma^j(m) is an
-    i^e-eigenvector (the projection formula for a cyclic group).  Sums
-    over disjoint orbits are independent, and every orbit of size k (k
-    divides 4) serves exactly k of the eigenvalues 1, -1, i, -i, so the
-    four bases hold 16 vectors and each spans its whole eigenspace.  The
-    sum for m has coefficient 1 at m and 0 at every other representative,
-    so the coordinates of an eigenvector in this basis are its
-    coefficients at the keys.
-    """
-    reg = chart_registry()
-    return {orbit[0]: Polynomial(reg, {mono: _POWERS_OF_I[-e * j % 4]
-                                       for j, mono in enumerate(orbit)})
-            for orbit in orbits if e * len(orbit) % 4 == 0}
-
-
 def eigen_decomposition() -> "tuple[int, int, int, int]":
     """Match the named generators to the eigenspaces of the rotation.
 
-    The alpha-eigenspace is spanned by orbit_basis, whose size is its
-    dimension.  Each named generator g must satisfy sigma(g) = alpha*g
-    as a polynomial identity, and the square matrix of the generators'
-    coordinates at the orbit representatives must have a nonzero
-    determinant, so they are a basis of that eigenspace.
-    EigenbasisMismatch is raised on any discrepancy.  Returns the
-    dimensions in the order of EIGENVALUE_LABELS.
+    sigma permutes the 16 multilinear monomials (rotate).  For each orbit
+    (m, sigma(m), ..., sigma^(k-1)(m)) whose size k has alpha^k = 1, the
+    orbit sum sum_j alpha^(-j) sigma^j(m) is an alpha-eigenvector (the
+    projection formula for a cyclic group).  Sums over disjoint orbits
+    are independent, and every orbit of size k (k divides 4) serves
+    exactly k of the eigenvalues 1, -1, i, -i, so the four eigenspaces
+    get 16 orbit sums between them, and those for alpha span the whole
+    alpha-eigenspace.  The sum for m has coefficient 1 at m and 0 at
+    every other representative orbit[0], so the coordinates of an
+    eigenvector in this basis are its coefficients at the
+    representatives, and the dimension is their number.
+
+    Each named generator g must satisfy sigma(g) = alpha*g as a
+    polynomial identity, and the square matrix of the generators'
+    coordinates at the representatives must have a nonzero determinant,
+    so they are a basis of that eigenspace.  EigenbasisMismatch is raised
+    on any discrepancy.  Returns the dimensions in the order of
+    EIGENVALUE_LABELS.
     """
     reg = chart_registry()
     orbits = sigma_orbits(multilinear_monomials(reg))
-    sigma = {m: orbit[(k + 1) % len(orbit)] for orbit in orbits for k, m in enumerate(orbit)}
     gens = generators()
     dims = []
-    for label in EIGENVALUE_LABELS:
-        e = _EIGENVALUE_EXPONENTS[label]
-        alpha = _POWERS_OF_I[e]
-        representatives = list(orbit_basis(e, orbits))
-        names = _EIGEN_GROUPS[label]
+    for label, (alpha, names) in _EIGENSPACES.items():
+        representatives = [orbit[0] for orbit in orbits if alpha ** len(orbit) == 1]
         if len(representatives) != len(names):
             raise EigenbasisMismatch(
                 f"eigenspace {label}: dimension {len(representatives)}, "
                 f"expected {len(names)}")
         for name in names:
-            rotated = Polynomial(reg, {sigma[m]: c for m, c in gens[name].terms()})
+            rotated = Polynomial(reg, {rotate(m): c for m, c in gens[name].terms()})
             if rotated != alpha * gens[name]:
                 raise EigenbasisMismatch(f"named generator {name} is not a {label}-eigenvector")
         coordinates = ScalarMatrix.from_rows(
@@ -491,7 +414,8 @@ def diagonal_restriction_factors() -> "tuple[int | Fraction, ...]":
             raise CheckFailed(f"{name!r} on the diagonal is not a rational multiple "
                               f"of its reference form")
         if restricted - factor * ref:
-            raise IdentityFailed(f"{name}|diag", restricted - factor * ref)
+            raise CheckFailed(f"identity '{name}|diag' has nonzero residual "
+                              f"{restricted - factor * ref}")
         factors.append(factor)
     return tuple(factors)
 
@@ -614,6 +538,13 @@ def verify_diagonal() -> "tuple[int | Fraction, ...]":
 # elimination
 # ---------------------------------------------------------------------------
 
+# Numerators and denominators of triple entries have at most this many
+# digits.  At such triples the numerators and denominators of det M and
+# of the vanishing quadric have about 2700 and 3000 digits, below the
+# 4300 that int-to-str conversion allows.
+ENTRY_DIGITS = 100
+
+
 class CoefficientTriple(Frozen):
     """Rational coefficients (A1..A3, B1..B3, C1..C3) of the elimination."""
 
@@ -631,6 +562,11 @@ class CoefficientTriple(Frozen):
         vals = tuple(Fraction(v) for v in values)
         if len(vals) != 9:
             raise ValueError(f"need 9 rationals, got {len(vals)}")
+        bound = 10 ** ENTRY_DIGITS
+        for k, v in enumerate(vals, 1):
+            if abs(v.numerator) >= bound or v.denominator >= bound:
+                raise ValueError(f"entry {k} of the triple has more than {ENTRY_DIGITS} "
+                                 f"digits in its numerator or denominator")
         return cls(vals[0:3], vals[3:6], vals[6:9])
 
     @classmethod
@@ -821,20 +757,15 @@ def chow_coefficient(factors: "Sequence[Sequence[int]]") -> int:
     """Coefficient of h1*h2*h3*h4 in a product of divisor classes.
 
     Works in Z[h1..h4]/(h_k^2); each factor is given by its four
-    coefficients on h1..h4.
+    coefficients on h1..h4.  A term of the expanded product survives
+    only when the factors pick distinct h_k, so the coefficient is the
+    permanent of the 4x4 coefficient matrix of four factors, and 0 for
+    any other number of factors.
     """
-    reg = VariableRegistry(("h1", "h2", "h3", "h4"))
-    h = Polynomial.variables(reg, "h1", "h2", "h3", "h4")
-    product = Polynomial.constant(reg, 1)
-    for factor in factors:
-        linear = Polynomial.zero(reg)
-        for coeff, hk in zip(factor, h):
-            linear = linear + coeff * hk
-        product = product * linear
-        # reduce modulo h_k^2: square-free monomials only
-        product = Polynomial(reg, {m: c for m, c in product.terms()
-                                   if all(e <= 1 for e in m)})
-    return product.coefficient((1, 1, 1, 1))
+    if len(factors) != 4:
+        return 0
+    return sum(prod(factor[k] for factor, k in zip(factors, order))
+               for order in permutations(range(4)))
 
 
 def genus_check() -> "tuple[int, int]":

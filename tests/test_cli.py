@@ -25,7 +25,7 @@ from prymcert.cli import (
 from prymcert.certify import run_pipeline
 from prymcert.exactnum import GaussianRational
 from prymcert.multipoly import Polynomial, UnknownVariable, VariableRegistry
-from prymcert.weil_model import IDENTITY_NAMES, generators
+from prymcert.weil_model import ENTRY_DIGITS, IDENTITY_NAMES, generators
 
 REG = VariableRegistry(("s", "t", "x", "y"))
 
@@ -313,6 +313,45 @@ def test_recheck_rejects_deeply_nested_json(tmp_path, capsys):
     assert main(["recheck", "--cert", str(path)]) == 2
     assert capsys.readouterr().err == \
         "error: cannot load certificate: certificate JSON is nested too deeply\n"
+
+
+def _entries(digits, seed):
+    """Nine entries p/q, p and q random numbers of exactly `digits` digits."""
+    rng = random.Random(seed)
+    low, high = 10 ** (digits - 1), 10 ** digits - 1
+    return [f"{rng.choice(('', '-'))}{rng.randint(low, high)}/{rng.randint(low, high)}"
+            for _ in range(9)]
+
+
+def test_triples_at_the_entry_bound_print(seed0_document, tmp_path, capsys):
+    entries = _entries(ENTRY_DIGITS, 5)
+    at = ",".join(entries)
+    for command, lines in (("detm", 1), ("quadric", 2), ("fpf", 1)):
+        assert main([command, f"--at={at}"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "" and captured.out.count("\n") == lines
+    # the recorded det M is the seed-0 value, so the recomputed one differs
+    assert _recheck(tmp_path, {**seed0_document, "witness_triple": entries}) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "" and captured.out.count("\n") == 1
+    assert captured.out.startswith("Fail recheck: certificate field 'witness_det_m'")
+
+
+@pytest.mark.parametrize("entries", [_entries(ENTRY_DIGITS + 1, 6), ["7" * 4000] * 9],
+                         ids=["one-digit-over", "4000-sevens"])
+@pytest.mark.parametrize("command", ["detm", "quadric", "fpf", "recheck"])
+def test_entries_over_the_bound_are_usage_errors(seed0_document, tmp_path, capsys,
+                                                 command, entries):
+    if command == "recheck":
+        code = _recheck(tmp_path, {**seed0_document, "witness_triple": entries})
+    else:
+        code = main([command, "--at=" + ",".join(entries)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    prefix = "error: cannot load certificate: " if command == "recheck" else "error: "
+    assert captured.err == (f"{prefix}entry 1 of the triple has more than {ENTRY_DIGITS} "
+                            f"digits in its numerator or denominator\n")
 
 
 @pytest.mark.parametrize("target", ["missing-dir", "directory"])

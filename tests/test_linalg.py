@@ -6,7 +6,7 @@ agreement with det_expansion and det_rref is a genuine dual-route check.
 The elimination over Z behind rank, kernel_basis and det_rref (which
 work over Q only) is checked against reference_rref, a field Gauss-Jordan
 with unit pivots written out here; over Q(i) the same reference gives
-the eigenspace kernels that the sigma-orbit bases of weil_model must span.
+the eigenspace kernels that the sums over weil_model.sigma_orbits must span.
 """
 
 import random
@@ -332,13 +332,15 @@ def test_integer_elimination_at_height():
 
 def _rotation_shift(eigenvalue):
     """sigma - eigenvalue on the multilinear monomials, with sigma's matrix
-    built from its substitution action (apply_group)."""
+    built from its substitution action s->t, t->x, x->y, y->s."""
     reg = wm.chart_registry()
     monos = wm.multilinear_monomials(reg)
     index = {m: k for k, m in enumerate(monos)}
+    images = {v: Polynomial.variable(reg, img)
+              for v, img in (("s", "t"), ("t", "x"), ("x", "y"), ("y", "s"))}
     shift = [[-eigenvalue if i == j else 0 for j in range(16)] for i in range(16)]
     for j, mono in enumerate(monos):
-        (image, coeff), = wm.apply_group(wm.SIGMA, Polynomial(reg, {mono: 1})).terms()
+        (image, coeff), = Polynomial(reg, {mono: 1}).substitute(images).terms()
         shift[index[image]][j] += coeff
     return shift
 
@@ -358,8 +360,13 @@ def test_orbit_bases_span_the_shift_kernels(e, eigenvalue, dimension):
     shift = _rotation_shift(eigenvalue)
     reference = reference_kernel(shift)  # field Gauss-Jordan, over Q(i) for +-i
     monos = wm.multilinear_monomials(wm.chart_registry())
-    basis = wm.orbit_basis(e, wm.sigma_orbits(monos))
-    orbit = [[v.coefficient(m) for m in monos] for v in basis.values()]
+    # the orbit sum sum_j i^(-e*j) sigma^j(m) of each orbit whose size k has i^(e*k) = 1
+    powers_of_i = (1, IMAG_UNIT, -1, -IMAG_UNIT)
+    orbit = []
+    for members in wm.sigma_orbits(monos):
+        if e * len(members) % 4 == 0:
+            coefficients = {m: powers_of_i[-e * j % 4] for j, m in enumerate(members)}
+            orbit.append([coefficients.get(m, 0) for m in monos])
     assert len(orbit) == len(reference) == dimension
     for vector in orbit:
         assert all(sum(a * b for a, b in zip(row, vector)) == 0 for row in shift)

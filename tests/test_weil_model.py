@@ -5,7 +5,8 @@ import hashlib
 import pickle
 import random
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
+from math import prod
 
 import pytest
 
@@ -24,26 +25,27 @@ ZERO_DET_TRIPLE = wm.CoefficientTriple.from_rationals(
 
 # -- group ------------------------------------------------------------------
 
-# the involution swapping the first and third factors, and sigma^3 = sigma^-1
-TAU = wm.GroupElement.from_dict({"s": "x", "x": "s"})
-SIGMA_INVERSE = wm.SIGMA * wm.SIGMA * wm.SIGMA
+def _substitution(images):
+    """A permutation of the chart variables acting on polynomials by substitution."""
+    def act(poly):
+        reg = poly.registry
+        return poly.substitute({v: Polynomial.variable(reg, img) for v, img in images.items()})
+    return act
 
 
-def test_group_relations_as_maps():
-    sigma, tau, ident = wm.SIGMA, TAU, wm.IDENTITY
-    sigma2 = sigma * sigma
-    assert sigma * sigma * sigma * sigma == ident
-    assert tau * tau == ident
-    assert tau * sigma * tau == SIGMA_INVERSE
-    assert sigma * SIGMA_INVERSE == ident
-    assert sigma2 * sigma2 == ident
-    with pytest.raises(ValueError, match="not a permutation"):
-        wm.GroupElement.from_dict({"s": "t"})
+# the pullback convention of the module docstring, the involution swapping
+# the first and third factors, and sigma^3 = sigma^-1
+SIGMA = _substitution({"s": "t", "t": "x", "x": "y", "y": "s"})
+TAU = _substitution({"s": "x", "x": "s"})
+
+
+def SIGMA_INVERSE(poly):
+    return SIGMA(SIGMA(SIGMA(poly)))
 
 
 def test_value_types_are_immutable():
     triple = wm.CoefficientTriple.from_rationals(range(9))
-    values = [(wm.SIGMA, "mapping"), (triple, "a"), (IMAG_UNIT, "re")]
+    values = [(triple, "a"), (IMAG_UNIT, "re")]
     for value, field in values:
         with pytest.raises(AttributeError):
             setattr(value, field, ())
@@ -52,33 +54,26 @@ def test_value_types_are_immutable():
         with pytest.raises(AttributeError):
             value.extra = 1
     assert triple.values() == tuple(Fraction(v) for v in range(9))
-    assert len({wm.SIGMA, TAU, wm.SIGMA * wm.IDENTITY, TAU * TAU}) == 3
     for copier in (copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))):
-        assert copier(wm.SIGMA) == wm.SIGMA
         assert copier(IMAG_UNIT) == IMAG_UNIT
         assert copier(triple).values() == triple.values()
 
 
 def test_group_relations_on_all_monomials():
     reg = wm.chart_registry()
-    sigma, tau = wm.SIGMA, TAU
     for mono in wm.multilinear_monomials(reg):
         p = Polynomial(reg, {mono: 1})
-        q = p
-        for _ in range(4):
-            q = wm.apply_group(sigma, q)
-        assert q == p
-        assert wm.apply_group(tau, wm.apply_group(tau, p)) == p
-        lhs = wm.apply_group(tau, wm.apply_group(sigma, wm.apply_group(tau, p)))
-        assert lhs == wm.apply_group(SIGMA_INVERSE, p)
+        assert SIGMA(SIGMA_INVERSE(p)) == p  # sigma^4 = 1
+        assert TAU(TAU(p)) == p
+        assert TAU(SIGMA(TAU(p))) == SIGMA_INVERSE(p)
 
 
 def test_action_convention_pinned():
     g = wm.generators()
-    assert wm.apply_group(wm.SIGMA, g["a1"]) == g["a1"]
-    assert wm.apply_group(wm.SIGMA, g["b1"]) == -g["b1"]
-    assert wm.apply_group(wm.SIGMA, g["c1"]) == IMAG_UNIT * g["c1"]
-    assert wm.apply_group(wm.SIGMA, g["d1"]) == -IMAG_UNIT * g["d1"]
+    assert SIGMA(g["a1"]) == g["a1"]
+    assert SIGMA(g["b1"]) == -g["b1"]
+    assert SIGMA(g["c1"]) == IMAG_UNIT * g["c1"]
+    assert SIGMA(g["d1"]) == -IMAG_UNIT * g["d1"]
 
 
 def test_every_generator_is_an_eigenvector():
@@ -86,13 +81,13 @@ def test_every_generator_is_an_eigenvector():
     eigenvalues = {"a": 1, "b": -1, "c": IMAG_UNIT, "d": -IMAG_UNIT}
     for name, poly in g.items():
         alpha = eigenvalues[name[0]]
-        assert wm.apply_group(wm.SIGMA, poly) == alpha * poly, name
+        assert SIGMA(poly) == alpha * poly, name
 
 
 def test_invariants_are_tau_invariant():
     g = wm.generators()
     for name in wm.INVARIANT_NAMES:
-        assert wm.apply_group(TAU, g[name]) == g[name]
+        assert TAU(g[name]) == g[name]
 
 
 # -- eigen decomposition ------------------------------------------------------
@@ -116,12 +111,10 @@ def test_named_generators_span_v():
     assert rank(ScalarMatrix.from_rows(rows)) == 16
 
 
-def test_permute_monomial_matches_apply_group():
+def test_rotate_matches_the_substitution():
     reg = wm.chart_registry()
-    for g in (wm.SIGMA, TAU, SIGMA_INVERSE):
-        for mono in wm.multilinear_monomials(reg):
-            assert Polynomial(reg, {wm.permute_monomial(g, mono): 1}) == \
-                wm.apply_group(g, Polynomial(reg, {mono: 1}))
+    for mono in wm.multilinear_monomials(reg):
+        assert Polynomial(reg, {wm.rotate(mono): 1}) == SIGMA(Polynomial(reg, {mono: 1}))
 
 
 def test_sigma_orbits():
@@ -132,7 +125,7 @@ def test_sigma_orbits():
     for orbit in orbits:
         assert orbit[0] == min(orbit, key=monos.index)
         for k, mono in enumerate(orbit):
-            assert wm.permute_monomial(wm.SIGMA, mono) == orbit[(k + 1) % len(orbit)]
+            assert wm.rotate(mono) == orbit[(k + 1) % len(orbit)]
 
 
 def test_eigen_decomposition_runs_no_elimination(monkeypatch):
@@ -168,15 +161,15 @@ def test_eigenbasis_mismatch_dependent_generators(monkeypatch):
 
 
 def test_eigenbasis_mismatch_dimension(monkeypatch):
-    monkeypatch.setitem(wm._EIGEN_GROUPS, "+1", ("a1", "a2", "a3", "a4", "a5"))
+    monkeypatch.setitem(wm._EIGENSPACES, "+1", (1, ("a1", "a2", "a3", "a4", "a5")))
     with pytest.raises(wm.EigenbasisMismatch, match=r"eigenspace \+1: dimension 6, expected 5"):
         wm.eigen_decomposition()
 
 
 def test_fixed_generators():
     g = wm.generators()
-    assert wm.apply_group(wm.SIGMA, g["a4"]) == g["a4"]
-    assert wm.apply_group(wm.SIGMA, g["b4"]) == -g["b4"]
+    assert SIGMA(g["a4"]) == g["a4"]
+    assert SIGMA(g["b4"]) == -g["b4"]
 
 
 # -- the identity suite -------------------------------------------------------
@@ -459,6 +452,19 @@ def test_chow_partial_products():
     assert wm.chow_coefficient([hyperplane] * 4) == 24
 
 
+def test_chow_coefficient_matches_the_expansion():
+    # expand the product term by term, one h_k from each factor, and keep
+    # the choices that take every h_k exactly once (any other number of
+    # factors leaves none)
+    rng = random.Random(7)
+    for count in range(7):
+        factors = [[rng.randint(-3, 3) for _ in range(4)] for _ in range(count)]
+        expected = sum(prod(f[k] for f, k in zip(factors, choice))
+                       for choice in product(range(4), repeat=count)
+                       if sorted(choice) == [0, 1, 2, 3])
+        assert wm.chow_coefficient(factors) == expected
+
+
 # -- coefficient triples ----------------------------------------------------------
 
 def test_coefficient_triple_validation():
@@ -467,3 +473,8 @@ def test_coefficient_triple_validation():
     triple = wm.CoefficientTriple.from_rationals(range(9))
     assert triple.values() == tuple(Fraction(k) for k in range(9))
     assert triple.as_point()["B1"] == Fraction(3)
+    top = 10 ** wm.ENTRY_DIGITS - 1  # ENTRY_DIGITS nines
+    wm.CoefficientTriple.from_rationals([Fraction(-top, top - 1)] * 9)
+    for over in (top + 1, -top - 1, Fraction(1, top + 1)):
+        with pytest.raises(ValueError, match="entry 9 of the triple has more than 100 digits"):
+            wm.CoefficientTriple.from_rationals([top] * 8 + [over])

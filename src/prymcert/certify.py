@@ -16,13 +16,12 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Iterator, Mapping
+from typing import Iterator
 
-from . import __version__
+from . import CheckFailed, __version__
 from .exactnum import rational_from_text
 from .weil_model import (
     CERTIFIED_EMPTY,
-    IDENTITY_NAMES,
     CoefficientTriple,
     check_identities,
     cross_check_determinant,
@@ -94,38 +93,21 @@ class SeededSampler:
 
 
 class Certificate:
-    """Machine-checkable record of every verdict for one pipeline run."""
+    """Machine-checkable record of every verdict for one pipeline run, built
+    from one keyword argument per field; overall is "Pass" iff a witness was found."""
 
     __slots__ = ("tool_version", "seed", "identity_verdicts", "eigenspace_dims",
                  "diagonal_factors", "chow_coefficient", "genus", "det_m_at_origin",
                  "det_m_term_count", "det_m_nonzero", "witness_triple", "witness_det_m",
                  "witness_quadric_kernel_dim", "fixed_point_free", "overall")
 
-    def __init__(self, tool_version: str, seed: int,
-                 identity_verdicts: "dict[str, str]",
-                 eigenspace_dims: "tuple[int, int, int, int]",
-                 diagonal_factors: "tuple[int | Fraction, ...]",
-                 chow_coefficient: int, genus: int, det_m_at_origin: Fraction,
-                 det_m_term_count: int, det_m_nonzero: bool,
-                 witness_triple: "CoefficientTriple | None",
-                 witness_det_m: "Fraction | None",
-                 witness_quadric_kernel_dim: "int | None",
-                 fixed_point_free: "str | None", overall: str):
-        self.tool_version = tool_version
-        self.seed = seed
-        self.identity_verdicts = identity_verdicts    # name -> "Pass" | "Fail"
-        self.eigenspace_dims = eigenspace_dims
-        self.diagonal_factors = diagonal_factors
-        self.chow_coefficient = chow_coefficient
-        self.genus = genus
-        self.det_m_at_origin = det_m_at_origin
-        self.det_m_term_count = det_m_term_count
-        self.det_m_nonzero = det_m_nonzero
-        self.witness_triple = witness_triple
-        self.witness_det_m = witness_det_m
-        self.witness_quadric_kernel_dim = witness_quadric_kernel_dim
-        self.fixed_point_free = fixed_point_free      # CertifiedEmpty | Inconclusive
-        self.overall = overall                        # "Pass" | "Fail"
+    def __init__(self, **fields: object):
+        missing = [name for name in self.__slots__ if name not in fields]
+        unknown = [name for name in fields if name not in self.__slots__]
+        if missing or unknown:
+            raise TypeError(f"Certificate fields missing {missing}, unknown {unknown}")
+        for name in self.__slots__:
+            setattr(self, name, fields[name])
 
     def to_json_dict(self) -> "dict[str, object]":
         doc: dict[str, object] = {
@@ -263,12 +245,11 @@ def _witness_values(triple: CoefficientTriple) -> "tuple[Fraction, int, str] | N
 def universal_fields() -> "dict[str, object]":
     """The certificate fields that do not depend on the seed, freshly computed.
 
-    Keys are Certificate field names.  det M is cross-checked at the
-    origin by elimination of the evaluated 6x6 over Q (CheckFailed on a
-    mismatch).
+    Keys are Certificate field names.  A check whose claim fails raises
+    CheckFailed.  det M is cross-checked at the origin by elimination of
+    the evaluated 6x6 over Q, and must be 1 there, hence nonzero.
     """
-    identity_verdicts = {name: "Pass" if ok else "Fail"
-                         for name, ok in check_identities().items()}
+    identities = check_identities()
     dims = eigen_decomposition()
     factors = verify_diagonal()  # includes the base-point-free certificate
     top, genus = genus_check()
@@ -276,9 +257,11 @@ def universal_fields() -> "dict[str, object]":
     origin = CoefficientTriple.origin()
     det_at_origin = determinant_at(origin)
     cross_check_determinant(origin, det_at_origin)
+    if det_at_origin != 1:
+        raise CheckFailed(f"det M at the origin is {det_at_origin}, expected 1")
     return {
         "tool_version": __version__,
-        "identity_verdicts": identity_verdicts,
+        "identity_verdicts": dict.fromkeys(identities, "Pass"),
         "eigenspace_dims": dims,
         "diagonal_factors": factors,
         "chow_coefficient": top,
@@ -289,73 +272,43 @@ def universal_fields() -> "dict[str, object]":
     }
 
 
-def universal_verdicts(fields: "Mapping[str, object]") -> "dict[str, bool]":
-    """Whether each judged universal field has its required value.
-
-    fields maps Certificate field names to values (universal_fields, or
-    the same fields of a Certificate).  Every identity passes, the
-    eigenspace dimensions are (6, 4, 3, 3), the top intersection number
-    is 24, the genus 13, det M is 1 at the origin and is nonzero.
-    """
-    return {
-        "identity_verdicts": all(fields["identity_verdicts"].get(name) == "Pass"
-                                 for name in IDENTITY_NAMES),
-        "eigenspace_dims": fields["eigenspace_dims"] == (6, 4, 3, 3),
-        "chow_coefficient": fields["chow_coefficient"] == 24,
-        "genus": fields["genus"] == 13,
-        "det_m_at_origin": fields["det_m_at_origin"] == 1,
-        "det_m_nonzero": fields["det_m_nonzero"] is True,
-    }
-
-
-def _overall(fields: "Mapping[str, object]", has_witness: bool) -> str:
-    return "Pass" if all(universal_verdicts(fields).values()) and has_witness else "Fail"
-
-
 def run_pipeline(seed: int, max_attempts: int = 100) -> Certificate:
     """Run every check and search for a witness; deterministic in (seed, max_attempts).
 
-    All universal checks always run and are recorded.  When no sampled
-    triple passes all three witness conditions within max_attempts, the
-    witness fields stay absent and the overall verdict is "Fail".  The
-    det M values at the origin and at the witness are cross-checked by
-    elimination of the evaluated 6x6 over Q (CheckFailed on a mismatch).
+    A universal check that fails raises CheckFailed, and no certificate
+    is made.  When no sampled triple passes all three witness conditions
+    within max_attempts, the witness fields stay absent and the overall
+    verdict is "Fail".  The det M values at the origin and at the witness
+    are cross-checked by elimination of the evaluated 6x6 over Q
+    (CheckFailed on a mismatch).
     """
     fields = universal_fields()
     sampler = SeededSampler(seed)
-    witness = None
-    witness_values: "tuple[Fraction, int, str] | None" = None
+    witness = dict.fromkeys(_WITNESS_FIELDS)
     for _ in range(max_attempts):
         candidate = sampler.next_triple()
         values = _witness_values(candidate)
         if values is not None:
             cross_check_determinant(candidate, values[0])
-            witness = candidate
-            witness_values = values
+            witness = dict(zip(_WITNESS_FIELDS, (candidate, *values)))
             break
-
-    return Certificate(
-        seed=seed,
-        **fields,
-        witness_triple=witness,
-        witness_det_m=witness_values[0] if witness_values else None,
-        witness_quadric_kernel_dim=witness_values[1] if witness_values else None,
-        fixed_point_free=witness_values[2] if witness_values else None,
-        overall=_overall(fields, witness is not None),
-    )
+    return Certificate(seed=seed, **fields, **witness,
+                       overall="Fail" if witness["witness_triple"] is None else "Pass")
 
 
 def verify_certificate(cert: Certificate) -> None:
     """Recompute every field, compare it with the recorded value, and
     require the witness conditions.
 
-    Raises MissingWitness when the certificate has no witness;
-    otherwise, in certificate field order, CertificateMismatch names the
-    first divergent field and WitnessRejected the first witness field
-    whose (correctly recorded) value fails its condition: det M nonzero,
-    kernel dimension 1, CertifiedEmpty.  The seed is not re-sampled: any
-    witness that passes the checks is as good as the sampled one.  The
-    recomputed det M values are cross-checked as in run_pipeline.
+    Raises MissingWitness when the certificate has no witness, and
+    CheckFailed when a universal check fails; otherwise, in certificate
+    field order, CertificateMismatch names the first divergent field
+    (overall must read "Pass") and WitnessRejected the first witness
+    field whose (correctly recorded) value fails its condition: det M
+    nonzero, kernel dimension 1, CertifiedEmpty.  The seed is not
+    re-sampled: any witness that passes the checks is as good as the
+    sampled one.  The recomputed det M values are cross-checked as in
+    run_pipeline.
     """
     if cert.witness_triple is None:
         raise MissingWitness("certificate has no witness to re-check")
@@ -372,6 +325,5 @@ def verify_certificate(cert: Certificate) -> None:
             raise CertificateMismatch(name, recorded, recomputed)
         if not holds:
             raise WitnessRejected(name, recomputed)
-    overall = _overall(fields, has_witness=True)
-    if cert.overall != overall:
-        raise CertificateMismatch("overall", cert.overall, overall)
+    if cert.overall != "Pass":
+        raise CertificateMismatch("overall", cert.overall, "Pass")

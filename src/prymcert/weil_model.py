@@ -330,9 +330,12 @@ def identity_residuals() -> "dict[str, Polynomial]":
     return residuals
 
 
-def check_identities() -> "dict[str, bool]":
-    """Verdict per identity name: True iff the residual is the zero polynomial."""
-    return {name: not residual for name, residual in identity_residuals().items()}
+def check_identities() -> "tuple[str, ...]":
+    """IDENTITY_NAMES once every residual is zero, else CheckFailed naming each nonzero one."""
+    failed = [name for name, residual in identity_residuals().items() if residual]
+    if failed:
+        raise CheckFailed(f"nonzero residual in {', '.join(failed)}")
+    return IDENTITY_NAMES
 
 
 B_IDENTITY_NAMES = IDENTITY_NAMES[1:8]

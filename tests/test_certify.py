@@ -12,7 +12,6 @@ from prymcert.certify import (
     SeededSampler,
     WitnessRejected,
     run_pipeline,
-    universal_verdicts,
     verify_certificate,
 )
 from prymcert.weil_model import (
@@ -107,23 +106,13 @@ def test_pipeline_without_witness_search():
     assert doc["overall"] == "Fail"
 
 
-@pytest.mark.parametrize("field, wrong", [
-    ("identity_verdicts", {**{name: "Pass" for name in IDENTITY_NAMES}, "cubic": "Fail"}),
-    ("identity_verdicts", {name: "Pass" for name in IDENTITY_NAMES[1:]}),
-    ("eigenspace_dims", (6, 4, 4, 2)),
-    ("chow_coefficient", 22),
-    ("genus", 12),
-    ("det_m_at_origin", Fraction(-1)),
-    ("det_m_nonzero", False),
-])
-def test_universal_verdicts_judge_each_field(seed0_certificate, field, wrong):
+def test_certificate_takes_exactly_its_fields(seed0_certificate):
     fields = {name: getattr(seed0_certificate, name) for name in Certificate.__slots__}
-    assert set(universal_verdicts(fields).values()) == {True}
-    assert certify._overall(fields, has_witness=True) == "Pass"
-    fields[field] = wrong
-    verdicts = universal_verdicts(fields)
-    assert [name for name, ok in verdicts.items() if not ok] == [field]
-    assert certify._overall(fields, has_witness=True) == "Fail"
+    del fields["overall"]
+    with pytest.raises(TypeError, match=r"missing \['overall'\], unknown \[\]"):
+        Certificate(**fields)
+    with pytest.raises(TypeError, match=r"missing \[\], unknown \['verdict'\]"):
+        Certificate(**fields, overall="Pass", verdict="Pass")
 
 
 def test_json_round_trip(seed0_certificate):

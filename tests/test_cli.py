@@ -13,6 +13,7 @@ import pytest
 
 import prymcert
 from prymcert import certify
+from prymcert import weil_model as wm
 from prymcert.cli import (
     ParseError,
     MAX_NESTING,
@@ -221,12 +222,16 @@ def test_certify_json_output(capsys):
 
 
 def test_certify_summary_reads_the_universal_verdicts(capsys, monkeypatch):
-    real = certify.universal_fields
-    monkeypatch.setattr(certify, "universal_fields", lambda: {**real(), "genus": 12})
-    assert main(["certify", "--seed", "0"]) == 1
+    # a universal check that fails stops certify with one line, so every
+    # universal line of a printed summary reads Pass
+    assert main(["certify", "--seed", "0", "--max-attempts", "0"]) == 1
     lines = capsys.readouterr().out.splitlines()
-    assert [line for line in lines if line.startswith("Fail")] == ["Fail genus 12",
-                                                                   "Fail overall"]
+    assert len(lines) == 9
+    assert [line for line in lines if not line.startswith("Pass ")] == [
+        "Fail witness (none within 0 attempts)", "Fail overall"]
+    monkeypatch.setattr(wm, "chow_coefficient", lambda factors: 22)
+    assert main(["certify", "--seed", "0"]) == 1
+    assert capsys.readouterr().out == "Fail certify: top intersection number 22, expected 24\n"
 
 
 def test_certify_without_witness(capsys):
@@ -587,16 +592,38 @@ def test_parse_loads_neither_certify_nor_weil_model():
     assert not loaded & {"prymcert.certify", "prymcert.weil_model", "dataclasses"}
 
 
-def test_usage_exit_codes():
+def test_usage_exit_codes(capsys):
+    for argv in (["nonsense"],
+                 ["detm"],  # one of --symbolic / --at is required
+                 [],
+                 ["verify", "bogus"],
+                 ["fpf", "--at", "0,0,0,0,0,0,0,0,0", "--bogus"],
+                 ["certify", "--seed", "x"],
+                 ["quadric", "--at"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: prymcert"), (argv, captured.err)
+
+
+def test_help_exits_zero(capsys):
     with pytest.raises(SystemExit) as err:
-        main(["nonsense"])
-    assert err.value.code == 2
-    with pytest.raises(SystemExit) as err:
-        main(["detm"])  # one of --symbolic / --at is required
-    assert err.value.code == 2
-    with pytest.raises(SystemExit) as err:
-        main([])
-    assert err.value.code == 2
+        main(["detm", "--help"])
+    assert err.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: prymcert detm")
+
+
+@pytest.mark.parametrize("command", ["detm", "quadric", "fpf"])
+@pytest.mark.parametrize("triple", ["-1,0,0,0,0,0,0,0,0", "-6,5,6,-6,6,-1,-2,-8,-2",
+                                    "-1/2,0,0,1/4,0,0,1/4,0,0"])
+def test_at_takes_a_negative_first_entry(capsys, command, triple):
+    for extra in ([], ["--json"]):
+        joined = main([command, f"--at={triple}"] + extra)
+        expected = capsys.readouterr()
+        assert main([command, "--at", triple] + extra) == joined
+        assert capsys.readouterr() == expected
+        assert expected.err == ""
 
 
 # The fpf, quadric and detm --at outputs (plain and --json) with their exit

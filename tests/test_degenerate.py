@@ -310,3 +310,63 @@ def test_detm_symbolic_fails_on_a_remainder(capsys, monkeypatch):
         wm.eliminate.cache_clear()
         wm.elimination_determinant.cache_clear()
     assert line == "Fail detm: c1*d3+c3*d1: remainder a1*a2*a3"
+
+
+@pytest.fixture
+def cleared_caches():
+    """Empty the cached identity residuals and elimination before and after a test."""
+    cached = (wm.identity_residuals, wm.eliminate, wm.elimination_determinant)
+    for function in cached:
+        function.cache_clear()
+    yield
+    for function in cached:
+        function.cache_clear()
+
+
+def test_check_identities_names_every_nonzero_residual(monkeypatch, cleared_caches):
+    residuals = {**wm.identity_residuals(), "c1*d1": wm.generators()["a1"],
+                 "cubic": wm.generators()["a2"]}
+    monkeypatch.setattr(wm, "identity_residuals", lambda: residuals)
+    with pytest.raises(CheckFailed, match=r"^nonzero residual in cubic, c1\*d1$"):
+        wm.check_identities()  # in IDENTITY_NAMES order
+
+
+@pytest.mark.parametrize("run", ["verify", "certify", "certify-out", "recheck"])
+def test_a_failed_identity_stops_the_run(run, seed0_document, tmp_path, capsys, monkeypatch,
+                                         cleared_caches):
+    residuals = {**wm.identity_residuals(), "cubic": wm.generators()["a2"]}
+    monkeypatch.setattr(wm, "identity_residuals", lambda: residuals)
+    # a run whose cubic identity failed, recorded as such: recheck must not pass it
+    document = {**seed0_document, "overall": "Fail",
+                "identity_verdicts": {**seed0_document["identity_verdicts"], "cubic": "Fail"}}
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(document))
+    out = tmp_path / "out.json"
+    argv, check = {"verify": (["verify", "identities"], "identities"),
+                   "certify": (["certify", "--seed", "0"], "certify"),
+                   "certify-out": (["certify", "--seed", "0", "--out", str(out)], "certify"),
+                   "recheck": (["recheck", "--cert", str(path)], "recheck")}[run]
+    line = assert_one_fail_line(argv, check, capsys)
+    assert line == f"Fail {check}: nonzero residual in cubic"
+    assert not out.exists()  # a failed certify writes no certificate
+
+
+def test_certify_fails_on_det_m_two_at_the_origin(seed0_document, tmp_path, capsys,
+                                                  monkeypatch, cleared_caches):
+    # a doubled row doubles det M on both routes, so the cross-check agrees;
+    # only the claim det M(0) = 1 can object
+    wm.identity_residuals()  # the identities keep the true tables
+    real = wm._relation_tables
+
+    def with_a_doubled_row(a):
+        b_rows, cd_rows = real(a)
+        (name, rhs), *rest = cd_rows
+        return b_rows, [(name, 2 * rhs), *rest]
+
+    monkeypatch.setattr(wm, "_relation_tables", with_a_doubled_row)
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(seed0_document))
+    for argv, check in [(["certify", "--seed", "0"], "certify"),
+                        (["recheck", "--cert", str(path)], "recheck")]:
+        line = assert_one_fail_line(argv, check, capsys)
+        assert line == f"Fail {check}: det M at the origin is 2, expected 1"

@@ -5,7 +5,10 @@ searches seeded random coefficient triples for a witness where the
 determinant is nonzero, the relation-matrix kernel is 1-dimensional and
 the diagonal intersection is certified empty.  The result is a
 Certificate whose JSON form is byte-identical across runs with the same
-seed.
+seed.  FIELDS is the format: the Certificate attributes, the JSON keys
+and their order, and how each value is written and read all come from
+it.  verify_certificate recomputes a certificate and raises CheckFailed
+at the first failure.
 
 The sampler is SplitMix64 (public-domain mixing constants), mapped onto
 the integer range [-10, 10] by rejection, so the triple sequence for a
@@ -39,32 +42,6 @@ _SPAN = 21  # |[-10, 10]|
 _REJECT_LIMIT = (2 ** 64 // _SPAN) * _SPAN
 
 
-class MissingWitness(ValueError):
-    """The certificate carries no witness triple."""
-
-
-class WitnessRejected(AssertionError):
-    """A recorded witness value, recomputed correctly, fails its witness condition."""
-
-    def __init__(self, field: str, value: object):
-        super().__init__(
-            f"certificate field {field!r}: {value} fails the witness condition "
-            f"({_WITNESS_REQUIREMENTS[field]})")
-        self.field = field
-        self.value = value
-
-
-class CertificateMismatch(AssertionError):
-    """Recomputation diverged from a recorded certificate field."""
-
-    def __init__(self, field: str, recorded: object, recomputed: object):
-        super().__init__(
-            f"certificate field {field!r}: recorded {recorded}, recomputed {recomputed}")
-        self.field = field
-        self.recorded = recorded
-        self.recomputed = recomputed
-
-
 class SeededSampler:
     """Deterministic SplitMix64 stream of coefficient triples."""
 
@@ -92,14 +69,39 @@ class SeededSampler:
         return CoefficientTriple.from_rationals([self.next_int() for _ in range(9)])
 
 
+FIELDS = (
+    ("tool_version", str),
+    ("seed", int),
+    ("identity_verdicts", dict),
+    ("eigenspace_dims", (int, 4)),
+    ("diagonal_factors", (Fraction, None)),
+    ("chow_coefficient", int),
+    ("genus", int),
+    ("det_m_at_origin", Fraction),
+    ("det_m_term_count", int),
+    ("det_m_nonzero", bool),
+    ("witness_triple", CoefficientTriple),
+    ("witness_det_m", Fraction),
+    ("witness_quadric_kernel_dim", int),
+    ("fixed_point_free", str),
+    ("overall", str),
+)
+"""The certificate format: each field in JSON key order with its kind.
+
+A kind is str, int, bool or dict, as in JSON; Fraction, a rational as
+"p" or "p/q" text; (kind, n), a list of n values of that kind (any
+number when n is None); or CoefficientTriple, a list of 9 rationals.
+"""
+
+_WITNESS_FIELDS = ("witness_triple", "witness_det_m", "witness_quadric_kernel_dim",
+                   "fixed_point_free")
+
+
 class Certificate:
     """Machine-checkable record of every verdict for one pipeline run, built
     from one keyword argument per field; overall is "Pass" iff a witness was found."""
 
-    __slots__ = ("tool_version", "seed", "identity_verdicts", "eigenspace_dims",
-                 "diagonal_factors", "chow_coefficient", "genus", "det_m_at_origin",
-                 "det_m_term_count", "det_m_nonzero", "witness_triple", "witness_det_m",
-                 "witness_quadric_kernel_dim", "fixed_point_free", "overall")
+    __slots__ = tuple(name for name, _ in FIELDS)
 
     def __init__(self, **fields: object):
         missing = [name for name in self.__slots__ if name not in fields]
@@ -110,25 +112,10 @@ class Certificate:
             setattr(self, name, fields[name])
 
     def to_json_dict(self) -> "dict[str, object]":
-        doc: dict[str, object] = {
-            "tool_version": self.tool_version,
-            "seed": self.seed,
-            "identity_verdicts": dict(self.identity_verdicts),
-            "eigenspace_dims": list(self.eigenspace_dims),
-            "diagonal_factors": [str(f) for f in self.diagonal_factors],
-            "chow_coefficient": self.chow_coefficient,
-            "genus": self.genus,
-            "det_m_at_origin": str(self.det_m_at_origin),
-            "det_m_term_count": self.det_m_term_count,
-            "det_m_nonzero": self.det_m_nonzero,
-        }
-        if self.witness_triple is not None:
-            doc["witness_triple"] = [str(v) for v in self.witness_triple.values()]
-            doc["witness_det_m"] = str(self.witness_det_m)
-            doc["witness_quadric_kernel_dim"] = self.witness_quadric_kernel_dim
-            doc["fixed_point_free"] = self.fixed_point_free
-        doc["overall"] = self.overall
-        return doc
+        """The fields in key order; the witness fields only when there is a witness."""
+        witness = self.witness_triple is not None
+        return {name: _dump(getattr(self, name), kind) for name, kind in FIELDS
+                if witness or name not in _WITNESS_FIELDS}
 
     def to_json(self) -> str:
         """Stable serialization: fixed key order, two-space indent, newline."""
@@ -136,7 +123,7 @@ class Certificate:
 
     @classmethod
     def from_json(cls, text: str) -> "Certificate":
-        """Parse a certificate, checking the shape of every field.
+        """Parse a certificate, checking the kind of every field.
 
         ValueError names the first missing or malformed field.  Values are
         not judged here; verify_certificate compares them with a recomputation.
@@ -147,39 +134,22 @@ class Certificate:
             raise ValueError("certificate JSON is nested too deeply") from None
         if not isinstance(doc, dict):
             raise ValueError(f"certificate must be a JSON object, not {type(doc).__name__}")
-        seed = _field(doc, "seed", int)
-        if seed < 0:
-            raise ValueError(f"certificate field 'seed' must be non-negative, got {seed}")
-        verdicts = _field(doc, "identity_verdicts", dict)
-        if not all(isinstance(v, str) for v in verdicts.values()):  # JSON keys are strings
+        witness = any(name in doc for name in _WITNESS_FIELDS)  # then all four are required
+        fields = {}
+        for name, kind in FIELDS:
+            if name not in doc and (witness or name not in _WITNESS_FIELDS):
+                raise ValueError(f"certificate field {name!r} is missing")
+            fields[name] = _load(name, doc[name], kind) if name in doc else None
+        if fields["seed"] < 0:
+            raise ValueError(f"certificate field 'seed' must be non-negative, got {fields['seed']}")
+        if not all(isinstance(v, str) for v in fields["identity_verdicts"].values()):
             raise ValueError("certificate field 'identity_verdicts' must map names to strings")
-        witness = witness_det = kernel_dim = fpf = None
-        if any(name in doc for name in _WITNESS_FIELDS):  # then all four are required
-            witness = CoefficientTriple.from_rationals(_rationals(doc, "witness_triple", 9))
-            witness_det = _rational(doc, "witness_det_m")
-            kernel_dim = _field(doc, "witness_quadric_kernel_dim", int)
-            fpf = _field(doc, "fixed_point_free", str)
-        return cls(
-            tool_version=_field(doc, "tool_version", str),
-            seed=seed,
-            identity_verdicts=dict(verdicts),
-            eigenspace_dims=tuple(_field(doc, "eigenspace_dims", list, int, 4)),
-            diagonal_factors=tuple(_rationals(doc, "diagonal_factors")),
-            chow_coefficient=_field(doc, "chow_coefficient", int),
-            genus=_field(doc, "genus", int),
-            det_m_at_origin=_rational(doc, "det_m_at_origin"),
-            det_m_term_count=_field(doc, "det_m_term_count", int),
-            det_m_nonzero=_field(doc, "det_m_nonzero", bool),
-            witness_triple=witness,
-            witness_det_m=witness_det,
-            witness_quadric_kernel_dim=kernel_dim,
-            fixed_point_free=fpf,
-            overall=_field(doc, "overall", str),
-        )
+        return cls(**fields)
 
 
-_WITNESS_FIELDS = ("witness_triple", "witness_det_m", "witness_quadric_kernel_dim",
-                   "fixed_point_free")
+def _json_kind(kind) -> type:
+    """The JSON type that holds a value of the kind, other than CoefficientTriple."""
+    return list if isinstance(kind, tuple) else str if kind is Fraction else kind
 
 
 def _is(value: object, kind: type) -> bool:
@@ -187,55 +157,55 @@ def _is(value: object, kind: type) -> bool:
     return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
 
 
-def _field(doc: dict, name: str, kind: type, item: "type | None" = None,
-           length: "int | None" = None):
-    """doc[name], required to be of JSON type kind (a list of item, of a given length)."""
-    if name not in doc:
-        raise ValueError(f"certificate field {name!r} is missing")
-    value = doc[name]
-    if not _is(value, kind):
-        raise ValueError(f"certificate field {name!r} must be {kind.__name__}, "
+def _load(name: str, value: object, kind):
+    """A JSON value of field name read as the kind; ValueError when it has another shape."""
+    if kind is CoefficientTriple:
+        return CoefficientTriple.from_rationals(_load(name, value, (Fraction, 9)))
+    if not _is(value, _json_kind(kind)):
+        raise ValueError(f"certificate field {name!r} must be {_json_kind(kind).__name__}, "
                          f"got {type(value).__name__}")
-    if item is not None and not all(_is(v, item) for v in value):
-        raise ValueError(f"certificate field {name!r} must hold only {item.__name__} values")
+    if kind is Fraction:
+        return rational_from_text(value)
+    if not isinstance(kind, tuple):
+        return value
+    item, length = kind
+    if not all(_is(v, _json_kind(item)) for v in value):
+        raise ValueError(f"certificate field {name!r} must hold only "
+                         f"{_json_kind(item).__name__} values")
     if length is not None and len(value) != length:
         raise ValueError(f"certificate field {name!r} must have {length} entries, got {len(value)}")
-    return value
+    return tuple(_load(name, v, item) for v in value)
 
 
-def _rational(doc: dict, name: str) -> Fraction:
-    return rational_from_text(_field(doc, name, str))
+def _dump(value: object, kind) -> object:
+    """A field value of the kind as JSON: rationals as text, sequences as lists."""
+    if kind is CoefficientTriple:
+        return _dump(value.values(), (Fraction, 9))
+    if isinstance(kind, tuple):
+        return [_dump(v, kind[0]) for v in value]
+    if kind is Fraction:
+        return str(value)
+    return dict(value) if kind is dict else value
 
 
-def _rationals(doc: dict, name: str, length: "int | None" = None) -> "list[Fraction]":
-    return [rational_from_text(v) for v in _field(doc, name, list, str, length)]
-
-
-_WITNESS_REQUIREMENTS = {
-    "witness_det_m": "det M != 0",
-    "witness_quadric_kernel_dim": "kernel dimension 1",
-    "fixed_point_free": CERTIFIED_EMPTY,
-}
-
-
-def _witness_conditions(triple: CoefficientTriple) -> "Iterator[tuple[str, object, bool]]":
-    """Yield (field, value, condition holds) for the three witness fields.
+def _witness_conditions(triple: CoefficientTriple) -> "Iterator[tuple[str, object, bool, str]]":
+    """Yield (field, value, condition holds, condition) for the three witness fields.
 
     In certificate field order, each value computed only when asked for,
     so a caller that stops at the first failed condition skips the rest.
     """
     value = determinant_at(triple)
-    yield "witness_det_m", value, value != 0
+    yield "witness_det_m", value, value != 0, "det M != 0"
     kernel_dim = quadric_relation_kernel_dim(triple)
-    yield "witness_quadric_kernel_dim", kernel_dim, kernel_dim == 1
+    yield "witness_quadric_kernel_dim", kernel_dim, kernel_dim == 1, "kernel dimension 1"
     verdict = fixed_point_free_check(triple)
-    yield "fixed_point_free", verdict, verdict == CERTIFIED_EMPTY
+    yield "fixed_point_free", verdict, verdict == CERTIFIED_EMPTY, CERTIFIED_EMPTY
 
 
 def _witness_values(triple: CoefficientTriple) -> "tuple[Fraction, int, str] | None":
     """The three witness-local values, or None when any condition fails."""
     values = []
-    for _, value, holds in _witness_conditions(triple):
+    for _, value, holds, _ in _witness_conditions(triple):
         if not holds:
             return None
         values.append(value)
@@ -300,30 +270,32 @@ def verify_certificate(cert: Certificate) -> None:
     """Recompute every field, compare it with the recorded value, and
     require the witness conditions.
 
-    Raises MissingWitness when the certificate has no witness, and
-    CheckFailed when a universal check fails; otherwise, in certificate
-    field order, CertificateMismatch names the first divergent field
-    (overall must read "Pass") and WitnessRejected the first witness
-    field whose (correctly recorded) value fails its condition: det M
-    nonzero, kernel dimension 1, CertifiedEmpty.  The seed is not
-    re-sampled: any witness that passes the checks is as good as the
-    sampled one.  The recomputed det M values are cross-checked as in
-    run_pipeline.
+    Every failure raises CheckFailed: a certificate without a witness, a
+    universal check whose claim fails, and then, in certificate field
+    order, the first field whose recorded value differs from the
+    recomputed one (overall must read "Pass") or the first witness field
+    whose correctly recorded value fails its condition: det M nonzero,
+    kernel dimension 1, CertifiedEmpty.  The seed is not re-sampled: any
+    witness that passes the checks is as good as the sampled one.  The
+    recomputed det M values are cross-checked as in run_pipeline.
     """
     if cert.witness_triple is None:
-        raise MissingWitness("certificate has no witness to re-check")
-    fields = universal_fields()
-    for name, recomputed in fields.items():
-        recorded = getattr(cert, name)
-        if recorded != recomputed:
-            raise CertificateMismatch(name, recorded, recomputed)
-    for name, recomputed, holds in _witness_conditions(cert.witness_triple):
+        raise CheckFailed("certificate has no witness to re-check")
+    for name, recomputed in universal_fields().items():
+        _compare(cert, name, recomputed)
+    for name, recomputed, holds, condition in _witness_conditions(cert.witness_triple):
         if name == "witness_det_m":
             cross_check_determinant(cert.witness_triple, recomputed)
-        recorded = getattr(cert, name)
-        if recorded != recomputed:
-            raise CertificateMismatch(name, recorded, recomputed)
+        _compare(cert, name, recomputed)
         if not holds:
-            raise WitnessRejected(name, recomputed)
-    if cert.overall != "Pass":
-        raise CertificateMismatch("overall", cert.overall, "Pass")
+            raise CheckFailed(f"certificate field {name!r}: {recomputed} fails the witness "
+                              f"condition ({condition})")
+    _compare(cert, "overall", "Pass")
+
+
+def _compare(cert: Certificate, name: str, recomputed: object) -> None:
+    """CheckFailed unless the certificate records the recomputed value of the field."""
+    recorded = getattr(cert, name)
+    if recorded != recomputed:
+        raise CheckFailed(
+            f"certificate field {name!r}: recorded {recorded}, recomputed {recomputed}")

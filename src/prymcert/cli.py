@@ -29,12 +29,14 @@ check, 2 on usage errors):
 
 Every subcommand accepts --json, which switches the output to the
 certificate field schema.  A usage error, argparse's own included, prints
-one "error: <message>" line on stderr; "--at -1,..." reads as "--at=-1,...".
-A failed check of the model (prymcert.CheckFailed, such as a base point
-on the diagonal or an identity with a nonzero residual) stops the run and
-prints one line "Fail <check>: <message>", where <check> is the verify
-check or else the subcommand, or {"error": "<message>"} under --json,
-and exits 1; a failing certify writes no certificate.
+one "error: <message>" line on stderr.  An option that takes a value
+reads "--at -1,..." as "--at=-1,..." and "--expr -1*s" as "--expr=-1*s".
+A failed check (prymcert.CheckFailed, such as a base point on the
+diagonal, an identity with a nonzero residual or a certificate field that
+recheck recomputes differently) stops the run and prints one line
+"Fail <check>: <message>", where <check> is the verify check or else the
+subcommand, or {"error": "<message>"} under --json, and exits 1; a
+failing certify writes no certificate.
 """
 
 from __future__ import annotations
@@ -327,12 +329,16 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
-def _join_at(argv: "Sequence[str]") -> "list[str]":
-    """argv with "--at" "-V" read as "--at=-V" (argparse takes -V for an option)."""
+_VALUE_OPTIONS = ("--at", "--seed", "--max-attempts", "--out", "--cert", "--expr", "--vars")
+
+
+def _join_values(argv: "Sequence[str]") -> "list[str]":
+    """argv with "--opt" "-V" read as "--opt=-V" for each option that takes a value
+    (argparse takes -V for an option); a word starting with "--" is never joined."""
     joined: "list[str]" = []
     for arg in argv:
-        if joined[-1:] == ["--at"] and arg[:1] == "-" and arg[:2] != "--":
-            joined[-1] = f"--at={arg}"
+        if joined and joined[-1] in _VALUE_OPTIONS and arg[:1] == "-" and arg[:2] != "--":
+            joined[-1] += f"={arg}"
         else:
             joined.append(arg)
     return joined
@@ -466,23 +472,14 @@ def _cmd_certify(args):
 
 
 def _cmd_recheck(args):
-    from .certify import (
-        Certificate,
-        CertificateMismatch,
-        MissingWitness,
-        WitnessRejected,
-        verify_certificate,
-    )
+    from .certify import Certificate, verify_certificate
 
     try:
         with open(args.cert, "r", encoding="utf-8") as handle:
             cert = Certificate.from_json(handle.read())
     except (OSError, ValueError) as exc:
         raise UsageError(f"cannot load certificate: {exc}") from None
-    try:
-        verify_certificate(cert)
-    except (CertificateMismatch, MissingWitness, WitnessRejected) as exc:
-        return 1, {"recheck": "Fail", "reason": str(exc)}, [f"Fail recheck: {exc}"]
+    verify_certificate(cert)  # raises CheckFailed on the first failure
     return 0, {"recheck": "Pass"}, ["Pass recheck"]
 
 
@@ -556,7 +553,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: "Sequence[str] | None" = None) -> int:
     """Run one subcommand and print its outcome; returns the exit code."""
     try:
-        args = build_parser().parse_args(_join_at(sys.argv[1:] if argv is None else argv))
+        args = build_parser().parse_args(_join_values(sys.argv[1:] if argv is None else argv))
         code, doc, lines = args.handler(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,5 +1,6 @@
 """CLI subcommands, exit codes, and the expression parser."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -12,12 +13,13 @@ from pathlib import Path
 import pytest
 
 import prymcert
-from prymcert import certify
+from prymcert import certify, cli
 from prymcert import weil_model as wm
 from prymcert.cli import (
     ParseError,
     MAX_NESTING,
     MAX_POWER_SIZE,
+    build_parser,
     main,
     parse_poly,
     power_size_bound,
@@ -290,26 +292,72 @@ def test_recheck_rejects_degenerate_witness(seed0_document, tmp_path, capsys,
     assert "witness condition" in out
 
 
-@pytest.mark.parametrize("edit", [
-    lambda doc: {**doc, "witness_triple": 5},
-    lambda doc: {**doc, "witness_quadric_kernel_dim": None},
-    lambda doc: [],
-    lambda doc: {**doc, "seed": -1},
-    lambda doc: {**doc, "seed": "abc"},
-    lambda doc: {k: v for k, v in doc.items() if k != "witness_det_m"},
-    lambda doc: {**doc, "witness_det_m": "1" * 5000},  # past the int-string limit
-    lambda doc: {**doc, "identity_verdicts": {"cubic": True}},
-    lambda doc: {**doc, "eigenspace_dims": [6, 4, 3, "3"]},
-    lambda doc: {**doc, "eigenspace_dims": [6, 4, 3]},
-], ids=["witness_triple_int", "null_kernel_dim", "top_level_list", "negative_seed",
-        "text_seed", "missing_witness_det", "oversized_rational", "verdict_not_text",
-        "dims_item_text", "dims_too_short"])
-def test_recheck_rejects_malformed_certificate(seed0_document, tmp_path, capsys, edit):
+# for each JSON type, a value of another type (true is not an int in a certificate)
+_OTHER_KIND = {str: 0, int: True, bool: 1, dict: [], list: {}}
+
+# each edit of the seed-0 document with the start of its load error
+_MALFORMED = {
+    "witness_triple_int": (lambda doc: {**doc, "witness_triple": 5},
+                           "certificate field 'witness_triple' must be list, got int"),
+    "null_kernel_dim": (lambda doc: {**doc, "witness_quadric_kernel_dim": None},
+                        "certificate field 'witness_quadric_kernel_dim' must be int"),
+    "top_level_list": (lambda doc: [], "certificate must be a JSON object, not list"),
+    "negative_seed": (lambda doc: {**doc, "seed": -1},
+                      "certificate field 'seed' must be non-negative, got -1"),
+    "text_seed": (lambda doc: {**doc, "seed": "abc"}, "certificate field 'seed' must be int"),
+    "missing_witness_det": (lambda doc: {k: v for k, v in doc.items() if k != "witness_det_m"},
+                            "certificate field 'witness_det_m' is missing"),
+    # past the int-string limit
+    "oversized_rational": (lambda doc: {**doc, "witness_det_m": "1" * 5000}, ""),
+    "verdict_not_text": (lambda doc: {**doc, "identity_verdicts": {"cubic": True}},
+                         "certificate field 'identity_verdicts' must map names to strings"),
+    "dims_item_text": (lambda doc: {**doc, "eigenspace_dims": [6, 4, 3, "3"]},
+                       "certificate field 'eigenspace_dims' must hold only int values"),
+    "dims_too_short": (lambda doc: {**doc, "eigenspace_dims": [6, 4, 3]},
+                       "certificate field 'eigenspace_dims' must have 4 entries, got 3"),
+    **{f"{name}_kind": (lambda doc, name=name: {**doc, name: _OTHER_KIND[type(doc[name])]},
+                        f"certificate field {name!r} must be ")
+       for name, _ in certify.FIELDS},
+}
+
+
+@pytest.mark.parametrize("case", list(_MALFORMED))
+def test_recheck_rejects_malformed_certificate(seed0_document, tmp_path, capsys, case):
+    edit, message = _MALFORMED[case]
     assert _recheck(tmp_path, edit(dict(seed0_document))) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: cannot load certificate: ")
+    assert captured.err.startswith(f"error: cannot load certificate: {message}")
     assert captured.err.count("\n") == 1
+
+
+# each way a recheck fails, with the message of its one Fail line
+_RECHECK_FAILURES = {
+    "tampered-field": (lambda doc: {**doc, "genus": 7},
+                       "certificate field 'genus': recorded 7, recomputed 13"),
+    "degenerate-witness": (
+        lambda doc: {**doc, "witness_triple": ["0"] * 9, "witness_det_m": "1",
+                     "witness_quadric_kernel_dim": 3},
+        "certificate field 'witness_quadric_kernel_dim': 3 fails the witness condition "
+        "(kernel dimension 1)"),
+    "no-witness": (lambda doc: {**{k: v for k, v in doc.items()
+                                   if k not in certify._WITNESS_FIELDS}, "overall": "Fail"},
+                   "certificate has no witness to re-check"),
+    "universal-check": (lambda doc: doc, "top intersection number 22, expected 24"),
+}
+
+
+@pytest.mark.parametrize("case", list(_RECHECK_FAILURES))
+def test_recheck_fails_one_way(seed0_document, tmp_path, capsys, monkeypatch, case):
+    edit, message = _RECHECK_FAILURES[case]
+    if case == "universal-check":
+        monkeypatch.setattr(wm, "chow_coefficient", lambda factors: 22)
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(edit(dict(seed0_document))))
+    assert main(["recheck", "--cert", str(path)]) == 1
+    assert capsys.readouterr() == (f"Fail recheck: {message}\n", "")
+    assert main(["recheck", "--cert", str(path), "--json"]) == 1
+    assert capsys.readouterr() == (json.dumps({"error": message}, indent=2) + "\n", "")
 
 
 def test_recheck_rejects_deeply_nested_json(tmp_path, capsys):
@@ -614,16 +662,51 @@ def test_help_exits_zero(capsys):
     assert capsys.readouterr().out.startswith("usage: prymcert detm")
 
 
+def read_alike(capsys, argv):
+    """Run argv, whose last two words are an option and its value, in the
+    "=" form and then as given, plain and with --json: each pair must give
+    the same exit code and output.  Returns the outputs."""
+    outputs = []
+    for extra in ([], ["--json"]):
+        code = main(argv[:-2] + [f"{argv[-2]}={argv[-1]}"] + extra)
+        expected = capsys.readouterr()
+        assert main(argv + extra) == code
+        assert capsys.readouterr() == expected
+        outputs.append(expected)
+    return outputs
+
+
 @pytest.mark.parametrize("command", ["detm", "quadric", "fpf"])
 @pytest.mark.parametrize("triple", ["-1,0,0,0,0,0,0,0,0", "-6,5,6,-6,6,-1,-2,-8,-2",
                                     "-1/2,0,0,1/4,0,0,1/4,0,0"])
 def test_at_takes_a_negative_first_entry(capsys, command, triple):
-    for extra in ([], ["--json"]):
-        joined = main([command, f"--at={triple}"] + extra)
-        expected = capsys.readouterr()
-        assert main([command, "--at", triple] + extra) == joined
-        assert capsys.readouterr() == expected
-        assert expected.err == ""
+    assert all(out.err == "" for out in read_alike(capsys, [command, "--at", triple]))
+
+
+@pytest.mark.parametrize("argv", [
+    ["parse", "--expr", "-1*s"],
+    ["parse", "--expr", "-s"],
+    ["parse", "--expr", "-2*u^2", "--vars", "u"],
+    ["parse", "--expr", "1", "--vars", "-u"],
+    ["certify", "--seed", "-1"],
+    ["certify", "--seed", "0", "--max-attempts", "-5"],
+    ["recheck", "--cert", "-no-such-file.json"],
+], ids=["expr", "expr-syntax-error", "expr-with-vars", "vars", "seed", "max-attempts", "cert"])
+def test_value_options_take_a_leading_dash(capsys, argv):
+    assert all("expected one argument" not in out.err for out in read_alike(capsys, argv))
+
+
+def test_every_option_that_takes_a_value_is_joined(capsys):
+    subparsers = next(action for action in build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    takes_a_value = {option for parser in subparsers.choices.values()
+                     for action in parser._actions if action.nargs != 0
+                     for option in action.option_strings}
+    assert takes_a_value == set(cli._VALUE_OPTIONS)
+    # a word that starts with "--" is never a value
+    assert main(["parse", "--expr", "--json"]) == 2
+    assert capsys.readouterr().err == (
+        "error: prymcert parse: argument --expr: expected one argument\n")
 
 
 # The fpf, quadric and detm --at outputs (plain and --json) with their exit

@@ -145,8 +145,8 @@ def seed0_document():
 def test_recheck_rejects_built_witness(seed0_document, tmp_path, capsys, triple):
     # every witness field holds its true recomputed value; a condition fails
     conditions = list(certify._witness_conditions(triple))
-    values = {field: value for field, value, _ in conditions}
-    failing = next(field for field, _, holds in conditions if not holds)
+    values = {field: value for field, value, _, _ in conditions}
+    failing = next(field for field, _, holds, _ in conditions if not holds)
     document = {**seed0_document, "witness_triple": text(triple).split(","),
                 "witness_det_m": str(values["witness_det_m"]),
                 "witness_quadric_kernel_dim": values["witness_quadric_kernel_dim"],

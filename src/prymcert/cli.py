@@ -101,9 +101,9 @@ def _tokenize(text: str) -> "list[_Token]":
             col += 1
             k += 1
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             start = k
-            while k < len(text) and text[k].isdigit():
+            while k < len(text) and "0" <= text[k] <= "9":
                 k += 1
             tokens.append(_Token("int", text[start:k], line, col))
             col += k - start

@@ -27,17 +27,21 @@ accepted back by the expression grammar of the cli module.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
 
 Rational = Fraction
 
+_RATIONAL_TEXT = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
 
 def rational_from_text(text: str) -> Fraction:
-    """Parse 'p' or 'p/q' into a Fraction (no decimals, no zero denominator)."""
+    """Parse 'p' or 'p/q' into a Fraction: an optional sign and ASCII digits,
+    then optionally '/' and ASCII digits (no zero denominator)."""
     text = text.strip()
-    if any(c in text for c in ".eE"):
+    if not _RATIONAL_TEXT.fullmatch(text):
         raise ValueError(f"not a decimal-free rational: {text!r}")
     try:
         return Fraction(text)

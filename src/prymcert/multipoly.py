@@ -84,15 +84,6 @@ class VariableRegistry:
     def unit_monomial(self) -> Monomial:
         return (0,) * len(self.names)
 
-    def monomial(self, **exponents: int) -> Monomial:
-        """Monomial from keyword exponents, e.g. reg.monomial(s=1, t=2)."""
-        exps = [0] * len(self.names)
-        for name, e in exponents.items():
-            if e < 0:
-                raise ValueError(f"negative exponent for {name}")
-            exps[self.index(name)] = e
-        return tuple(exps)
-
 
 def _grlex_key(mono: Monomial):
     return (sum(mono), mono)
@@ -263,44 +254,7 @@ class Polynomial:
 
     __hash__ = None  # mutable-dict backed; not usable as a dict key
 
-    # -- substitution and evaluation -----------------------------------------
-
-    def substitute(self, bindings: "Mapping[str, Polynomial]") -> "Polynomial":
-        """Ring homomorphism sending bound variables to their image polynomials.
-
-        Images must share one registry (the result registry); unbound
-        variables are carried over by name and must exist there.
-        """
-        if not bindings:
-            return self
-        images = {}
-        target: VariableRegistry | None = None
-        for name, image in bindings.items():
-            self.registry.index(name)  # bound variables must exist here
-            if target is None:
-                target = image.registry
-            elif image.registry != target:
-                raise RegistryMismatch(
-                    f"binding images use registries {target!r} and {image.registry!r}")
-            images[name] = image
-        assert target is not None
-        carried: dict[str, Polynomial] = {}
-        result = Polynomial.zero(target)
-        for mono, coeff in self.terms():
-            term = Polynomial.constant(target, coeff)
-            for k, e in enumerate(mono):
-                if not e:
-                    continue
-                name = self.registry.names[k]
-                if name in images:
-                    factor = images[name]
-                else:
-                    if name not in carried:
-                        carried[name] = Polynomial.variable(target, name)
-                    factor = carried[name]
-                term = term * factor ** e
-            result = result + term
-        return result
+    # -- evaluation -------------------------------------------------------------
 
     def evaluate(self, point: "Mapping[str, object]") -> Coefficient:
         """Exact value at a point binding every variable that occurs

@@ -17,9 +17,10 @@ exact arithmetic:
   * the 17 product identities: the unique cubic relation among a1..a6,
     the seven expressions of b-products over invariant quadratics, and
     the nine expressions of c*d-products;
-  * the restriction of a1..a6 to the diagonal x=s, y=t (proportionality
-    factors, and base-point-freeness of the restricted system by the
-    common-zero routine described below);
+  * the restriction of a1..a6 to the diagonal x=s, y=t, an exponent map
+    (s^a t^b x^c y^d goes to s^(a+c) t^(b+d)), with the proportionality
+    factors and base-point-freeness of the restricted system by the
+    common-zero routine described below;
   * the elimination of a4, a5, a6 by linear expressions in a1..a3 with
     coefficients A1..A3, B1..B3, C1..C3, producing the 6x6 matrix that
     expresses the c*d combinations over the invariant quadratics and the
@@ -87,18 +88,6 @@ INVARIANT_NAMES = ("a1", "a2", "a3", "a4", "a5", "a6")
 
 CERTIFIED_EMPTY = "CertifiedEmpty"
 INCONCLUSIVE = "Inconclusive"
-
-
-class EigenbasisMismatch(CheckFailed):
-    """A computed eigenspace does not match the span of the named generators."""
-
-
-class BasePointFound(CheckFailed):
-    """The restricted linear system could not be certified base-point free."""
-
-
-class NonzeroRemainder(CheckFailed):
-    """Elimination left a component outside the quadratic basis (engine fault)."""
 
 
 class KernelNotUnique(ValueError):
@@ -216,8 +205,8 @@ def eigen_decomposition() -> "tuple[int, int, int, int]":
     Each named generator g must satisfy sigma(g) = alpha*g as a
     polynomial identity, and the square matrix of the generators'
     coordinates at the representatives must have a nonzero determinant,
-    so they are a basis of that eigenspace.  EigenbasisMismatch is raised
-    on any discrepancy.  Returns the dimensions in the order of
+    so they are a basis of that eigenspace.  CheckFailed is raised on any
+    discrepancy.  Returns the dimensions in the order of
     EIGENVALUE_LABELS.
     """
     reg = chart_registry()
@@ -227,17 +216,17 @@ def eigen_decomposition() -> "tuple[int, int, int, int]":
     for label, (alpha, names) in _EIGENSPACES.items():
         representatives = [orbit[0] for orbit in orbits if alpha ** len(orbit) == 1]
         if len(representatives) != len(names):
-            raise EigenbasisMismatch(
+            raise CheckFailed(
                 f"eigenspace {label}: dimension {len(representatives)}, "
                 f"expected {len(names)}")
         for name in names:
             rotated = Polynomial(reg, {rotate(m): c for m, c in gens[name].terms()})
             if rotated != alpha * gens[name]:
-                raise EigenbasisMismatch(f"named generator {name} is not a {label}-eigenvector")
+                raise CheckFailed(f"named generator {name} is not a {label}-eigenvector")
         coordinates = ScalarMatrix.from_rows(
             [[gens[name].coefficient(m) for m in representatives] for name in names])
         if not det_expansion(coordinates):
-            raise EigenbasisMismatch(f"named generators for {label} are dependent")
+            raise CheckFailed(f"named generators for {label} are dependent")
         dims.append(len(representatives))
     return tuple(dims)
 
@@ -354,10 +343,19 @@ def diagonal_registry() -> VariableRegistry:
 
 
 def restrict_to_diagonal(poly: Polynomial) -> Polynomial:
-    """Restrict a chart polynomial to the diagonal x = s, y = t."""
-    reg = diagonal_registry()
-    s, t = Polynomial.variables(reg, "s", "t")
-    return poly.substitute({"x": s, "y": t})
+    """Restrict a chart polynomial to the diagonal x = s, y = t.
+
+    An exponent map: the term s^a t^b x^c y^d goes to s^(a+c) t^(b+d) in
+    diagonal_registry(), and terms that meet add their coefficients.
+    ValueError for a polynomial that is not in chart_registry().
+    """
+    if poly.registry != chart_registry():
+        raise ValueError(f"{poly} is not a polynomial in {CHART_VARS}")
+    terms: dict[Monomial, Coefficient] = {}
+    for (a, b, c, d), coeff in poly.items():
+        mono = (a + c, b + d)
+        terms[mono] = terms.get(mono, 0) + coeff
+    return Polynomial(diagonal_registry(), terms)
 
 
 @lru_cache(maxsize=1)
@@ -528,12 +526,12 @@ def verify_diagonal() -> "tuple[int | Fraction, ...]":
     The six restricted generators (diagonal_grids) have no common zero on
     P^1 x P^1 when the t-resultants of all 15 pairs certify it
     (_misses_common_zero, the routine fixed_point_free_check also uses).
-    BasePointFound is raised when emptiness cannot be certified.
+    CheckFailed is raised when emptiness cannot be certified.
     """
     factors = diagonal_restriction_factors()
     grids = list(diagonal_grids().values())
     if not _misses_common_zero(grids, combinations(range(len(grids)), 2)):
-        raise BasePointFound("the pairwise resultants do not exclude a common zero")
+        raise CheckFailed("the pairwise resultants do not exclude a common zero")
     return factors
 
 
@@ -612,42 +610,37 @@ def coefficient_registry() -> VariableRegistry:
 
 @lru_cache(maxsize=1)
 def eliminate() -> EliminationResult:
-    """Substitute the elimination expressions and assemble all matrices.
+    """Eliminate a4, a5, a6 and assemble all matrices.
 
-    Works symbolically: a1..a6 are formal variables, a4, a5, a6 are
-    replaced by A/B/C-linear combinations of a1..a3, and every product
-    row must land exactly in the span of the six quadratic monomials
-    (NonzeroRemainder otherwise, which would be an engine fault).  The
-    working registry lists a1..a6 before A1..C3, so a substituted term's
-    first six exponents pick its quadratic monomial and the other nine
-    are its monomial in coefficient_registry().
+    Works symbolically in the registry a1, a2, a3, A1..C3: a4, a5, a6 are
+    bound to their A/B/C-linear combinations of a1..a3 before the relation
+    tables are built, so every right side is already a polynomial in that
+    registry.  A term's first three exponents pick its quadratic monomial
+    (its column of ALPHA_LABELS) and the other nine are its monomial in
+    coefficient_registry().  A term of any other degree in a1..a3 raises
+    CheckFailed naming the remainder, which would be an engine fault.
     """
-    big = VariableRegistry(INVARIANT_NAMES + COEFF_VARS)
-    a = {n: Polynomial.variable(big, n) for n in INVARIANT_NAMES}
-    coeff = {n: Polynomial.variable(big, n) for n in COEFF_VARS}
-    bindings = {
-        "a4": coeff["A1"] * a["a1"] + coeff["A2"] * a["a2"] + coeff["A3"] * a["a3"],
-        "a5": coeff["B1"] * a["a1"] + coeff["B2"] * a["a2"] + coeff["B3"] * a["a3"],
-        "a6": coeff["C1"] * a["a1"] + coeff["C2"] * a["a2"] + coeff["C3"] * a["a3"],
-    }
-    alpha_basis = (
-        big.monomial(a1=2), big.monomial(a2=2), big.monomial(a3=2),
-        big.monomial(a1=1, a2=1), big.monomial(a1=1, a3=1), big.monomial(a2=1, a3=1),
-    )
-    alpha_slot = {mono[:6]: k for k, mono in enumerate(alpha_basis)}
+    work = VariableRegistry(INVARIANT_NAMES[:3] + COEFF_VARS)
+    a1, a2, a3, *coeffs = Polynomial.variables(work, *work.names)
+    a = {"a1": a1, "a2": a2, "a3": a3}
+    for k, name in enumerate(INVARIANT_NAMES[3:]):
+        u1, u2, u3 = coeffs[3 * k:3 * k + 3]
+        a[name] = u1 * a1 + u2 * a2 + u3 * a3
+    alpha_slot = {mono: k for k, mono in enumerate(  # the exponents of ALPHA_LABELS
+        ((2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0), (1, 0, 1), (0, 1, 1)))}
     small = coefficient_registry()
 
     def eliminated_row(label: str, rhs: Polynomial) -> "list[Polynomial]":
         row: list[dict[Monomial, Coefficient]] = [{} for _ in ALPHA_LABELS]
         remainder = {}
-        for mono, c in rhs.substitute(bindings).items():
-            slot = alpha_slot.get(mono[:6])
+        for mono, c in rhs.items():
+            slot = alpha_slot.get(mono[:3])
             if slot is None:
                 remainder[mono] = c
             else:
-                row[slot][mono[6:]] = c
+                row[slot][mono[3:]] = c
         if remainder:
-            raise NonzeroRemainder(f"{label}: remainder {Polynomial(big, remainder)}")
+            raise CheckFailed(f"{label}: remainder {Polynomial(work, remainder)}")
         return [Polynomial(small, terms) for terms in row]
 
     b_rows, cd_rows = _relation_tables(a)

@@ -70,6 +70,12 @@ def test_parse_error_positions():
         parse_poly("s t", REG)  # implicit multiplication is not allowed
     with pytest.raises(ParseError):
         parse_poly("s $ t", REG)
+    # an integer is ASCII digits only: no superscripts, no other scripts' digits
+    for text, column, char in (("s^\u00b2", 3, "\u00b2"), ("1\u00b2", 2, "\u00b2"),
+                               ("\u0663*s", 1, "\u0663")):
+        with pytest.raises(ParseError, match=f"unexpected character '{char}'") as err:
+            parse_poly(text, REG)
+        assert (err.value.line, err.value.column) == (1, column)
 
 
 def test_parse_unknown_variable():
@@ -160,6 +166,9 @@ def test_detm_usage_errors(capsys):
     assert main(["detm", "--at", "1,2,3"]) == 2
     assert "9 comma-separated rationals" in capsys.readouterr().err
     assert main(["detm", "--at", "a,b,c,d,e,f,g,h,j"]) == 2
+    capsys.readouterr()
+    assert main(["detm", "--at", "1_0,0,0,0,0,0,0,0,0"]) == 2
+    assert capsys.readouterr().err == "error: not a decimal-free rational: '1_0'\n"
 
 
 @pytest.mark.parametrize("command", ["detm", "quadric", "fpf"])
@@ -305,6 +314,8 @@ _MALFORMED = {
     "negative_seed": (lambda doc: {**doc, "seed": -1},
                       "certificate field 'seed' must be non-negative, got -1"),
     "text_seed": (lambda doc: {**doc, "seed": "abc"}, "certificate field 'seed' must be int"),
+    "underscore_rational": (lambda doc: {**doc, "witness_det_m": "-5_548257727"},
+                            "not a decimal-free rational: '-5_548257727'"),
     "missing_witness_det": (lambda doc: {k: v for k, v in doc.items() if k != "witness_det_m"},
                             "certificate field 'witness_det_m' is missing"),
     # past the int-string limit
@@ -537,7 +548,8 @@ def test_parse_output_too_long_to_render(capsys):
     ("q + )", "unknown variable 'q' at line 1, column 1 (registry ('s', 't', 'x', 'y'))"),
     ("(s+t+x+y)^100 )", f"power too large to compute: its size bound exceeds "
                         f"{MAX_POWER_SIZE} (terms times coefficient bits)"),
-], ids=["unknown-variable", "power"])
+    ("s^\u00b2 )", "line 1, column 3: unexpected character '\u00b2'"),
+], ids=["unknown-variable", "power", "non-ascii-digit"])
 def test_parse_reports_the_first_fault_in_reading_order(expr, message, capsys):
     # each input also has a syntax error after its first fault
     assert main(["parse", "--expr", expr]) == 2

@@ -22,6 +22,7 @@ from prymcert import weil_model as wm
 from prymcert.cli import main
 from prymcert.exactnum import IMAG_UNIT
 from prymcert.multipoly import Polynomial, VariableRegistry
+from substitution_reference import substitute
 
 ROWS = (("a4", "a"), ("a5", "b"), ("a6", "c"))
 
@@ -88,7 +89,7 @@ def det_zero_triple(rng):
         name = rng.choice(wm.COEFF_VARS)
         fixed = {n: rng.randint(-3, 3) for n in wm.COEFF_VARS if n != name}
         reg = VariableRegistry((name,))
-        cubic = det.substitute({n: Polynomial.constant(reg, v) for n, v in fixed.items()})
+        cubic = substitute(det, {n: Polynomial.constant(reg, v) for n, v in fixed.items()})
         assert cubic.total_degree() <= 3
         root = _rational_root([cubic.coefficient((e,)) for e in range(4)])
         if root is not None:
@@ -225,7 +226,7 @@ def test_verify_diagonal_finds_a_built_base_point(name, seed0_document, tmp_path
     assert len(written) == 967
     new = tmp_path / "new.json"
     monkeypatch.setattr(wm, "diagonal_grids", lambda: BASE_POINT_GRIDS[name])
-    with pytest.raises(wm.BasePointFound):
+    with pytest.raises(CheckFailed, match="the pairwise resultants do not exclude"):
         wm.verify_diagonal()
     for argv, check in [(["verify", "diagonal"], "diagonal"),
                         (["certify", "--seed", "0"], "certify"),

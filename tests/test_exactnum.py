@@ -125,3 +125,9 @@ def test_rational_text():
         rational_from_text("1e3")
     with pytest.raises(ValueError):
         rational_from_text("1/0")
+    assert rational_from_text("+5/10") == Fraction(1, 2)
+    # only an optional sign, ASCII digits and one '/': what Fraction() also reads is refused
+    for text in ("1_0", "1/2_0", "\u0663/\u0664", "\u0663", "\u00b2", "1 / 2", "--1", "1/2/3",
+                 "", "inf", "nan"):
+        with pytest.raises(ValueError, match="not a decimal-free rational"):
+            rational_from_text(text)

@@ -25,6 +25,7 @@ from prymcert.linalg import (
     rank,
 )
 from prymcert.multipoly import Polynomial, RegistryMismatch, VariableRegistry
+from substitution_reference import substitute
 
 REG = VariableRegistry(("u", "v"))
 
@@ -340,7 +341,7 @@ def _rotation_shift(eigenvalue):
               for v, img in (("s", "t"), ("t", "x"), ("x", "y"), ("y", "s"))}
     shift = [[-eigenvalue if i == j else 0 for j in range(16)] for i in range(16)]
     for j, mono in enumerate(monos):
-        (image, coeff), = Polynomial(reg, {mono: 1}).substitute(images).terms()
+        (image, coeff), = substitute(Polynomial(reg, {mono: 1}), images).terms()
         shift[index[image]][j] += coeff
     return shift
 

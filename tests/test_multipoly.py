@@ -1,4 +1,4 @@
-"""Sparse polynomial arithmetic: ring axioms, substitution, rendering, and
+"""Sparse polynomial arithmetic: ring axioms, evaluation, rendering, and
 the t-resultant of (2,2)-forms on integer grids (weil_model.t_resultant,
 weil_model.form_grid) against the Sylvester oracle in sylvester_reference."""
 
@@ -31,10 +31,10 @@ def _vars():
     return Polynomial.variables(REG, "s", "t", "x", "y")
 
 
-def _random_poly(rng, registry=REG, max_terms=5, max_exp=2):
+def _random_poly(rng, registry=REG, max_terms=5):
     p = Polynomial.zero(registry)
     for _ in range(rng.randint(0, max_terms)):
-        mono = tuple(rng.randint(0, max_exp) for _ in registry.names)
+        mono = tuple(rng.randint(0, 2) for _ in registry.names)
         coeff = GaussianRational(Fraction(rng.randint(-5, 5), rng.randint(1, 3)),
                                  Fraction(rng.randint(-5, 5), rng.randint(1, 3)))
         p = p + Polynomial(registry, {mono: coeff})
@@ -52,8 +52,6 @@ def test_registry_validation():
         VariableRegistry(("s", "s"))
     with pytest.raises(ValueError, match="empty variable name"):
         VariableRegistry(("s", ""))
-    with pytest.raises(ValueError, match="negative exponent"):
-        REG.monomial(s=-1)
     with pytest.raises(ValueError, match="wrong arity"):
         Polynomial(REG, {(1, 0): 1})
     with pytest.raises(UnknownVariable):
@@ -92,45 +90,6 @@ def test_registry_mismatch():
     other = VariableRegistry(("u", "v"))
     with pytest.raises(RegistryMismatch):
         Polynomial.variable(REG, "s") + Polynomial.variable(other, "u")
-
-
-def test_substitute_identity_and_examples():
-    s, t, x, y = _vars()
-    p = s * x + t * y
-    assert p.substitute({}) == p
-    assert p.substitute({"x": s, "y": t}) == s ** 2 + t ** 2
-
-    abstract = VariableRegistry(("a1", "a2", "a3", "a4", "A1", "A2", "A3"))
-    a1, a2, a3, a4, A1, A2, A3 = Polynomial.variables(
-        abstract, "a1", "a2", "a3", "a4", "A1", "A2", "A3")
-    image = A1 * a1 + A2 * a2 + A3 * a3
-    assert a4.substitute({"a4": image}) == image
-
-
-def test_substitute_errors():
-    s, t, x, y = _vars()
-    with pytest.raises(UnknownVariable):
-        (s + t).substitute({"q": s})
-    small = VariableRegistry(("s", "t"))
-    shrunk = Polynomial.variable(small, "s")
-    # x is substituted away but y cannot be carried into the small registry
-    with pytest.raises(UnknownVariable):
-        (x * y).substitute({"x": shrunk})
-    with pytest.raises(RegistryMismatch, match="binding images use registries"):
-        (x * y).substitute({"x": shrunk, "y": s})
-
-
-def test_substitute_is_homomorphism():
-    rng = random.Random(11)
-    s, t, x, y = _vars()
-    for _ in range(60):
-        p, q = _random_poly(rng, max_terms=4), _random_poly(rng, max_terms=4)
-        bindings = {"x": _random_poly(rng, max_terms=2, max_exp=1),
-                    "y": _random_poly(rng, max_terms=2, max_exp=1)}
-        left = (p * q).substitute(bindings)
-        right = p.substitute(bindings) * q.substitute(bindings)
-        assert left == right
-        assert (p + q).substitute(bindings) == p.substitute(bindings) + q.substitute(bindings)
 
 
 def test_evaluate_examples():
@@ -275,7 +234,7 @@ def test_leading_and_degrees():
     s, t, x, y = _vars()
     p = s * t ** 2 - x
     mono, coeff = p.leading()
-    assert mono == REG.monomial(s=1, t=2) and coeff == 1
+    assert mono == (1, 2, 0, 0) and coeff == 1
     assert p.total_degree() == 3
     assert Polynomial.zero(REG).total_degree() == -1
     with pytest.raises(ValueError):

@@ -10,11 +10,12 @@ from math import prod
 
 import pytest
 
-from prymcert import linalg
+from prymcert import CheckFailed, linalg
 from prymcert.exactnum import GaussianRational, IMAG_UNIT
 from prymcert.linalg import ScalarMatrix, det_rref, kernel_basis, rank
-from prymcert.multipoly import Polynomial
+from prymcert.multipoly import Polynomial, VariableRegistry
 from prymcert import weil_model as wm
+from substitution_reference import substitute
 
 WITNESS = wm.CoefficientTriple.from_rationals([6, 5, 6, -6, 6, -1, -2, -8, -2])
 WITNESS_DET = Fraction(-5548257727)
@@ -29,7 +30,7 @@ def _substitution(images):
     """A permutation of the chart variables acting on polynomials by substitution."""
     def act(poly):
         reg = poly.registry
-        return poly.substitute({v: Polynomial.variable(reg, img) for v, img in images.items()})
+        return substitute(poly, {v: Polynomial.variable(reg, img) for v, img in images.items()})
     return act
 
 
@@ -147,7 +148,7 @@ def test_eigenbasis_mismatch_not_an_eigenvector(monkeypatch, capsys):
 
     g = wm.generators()
     _with_generators(monkeypatch, c2=g["c2"] + g["d2"])
-    with pytest.raises(wm.EigenbasisMismatch, match=r"c2 is not a \+i-eigenvector"):
+    with pytest.raises(CheckFailed, match=r"c2 is not a \+i-eigenvector"):
         wm.eigen_decomposition()
     assert main(["verify", "eigenspaces"]) == 1
     assert capsys.readouterr().out.startswith("Fail eigenspaces: named generator c2")
@@ -156,13 +157,13 @@ def test_eigenbasis_mismatch_not_an_eigenvector(monkeypatch, capsys):
 def test_eigenbasis_mismatch_dependent_generators(monkeypatch):
     g = wm.generators()
     _with_generators(monkeypatch, b3=g["b1"] - 2 * g["b4"])  # a -1-eigenvector
-    with pytest.raises(wm.EigenbasisMismatch, match="named generators for -1 are dependent"):
+    with pytest.raises(CheckFailed, match="named generators for -1 are dependent"):
         wm.eigen_decomposition()
 
 
 def test_eigenbasis_mismatch_dimension(monkeypatch):
     monkeypatch.setitem(wm._EIGENSPACES, "+1", (1, ("a1", "a2", "a3", "a4", "a5")))
-    with pytest.raises(wm.EigenbasisMismatch, match=r"eigenspace \+1: dimension 6, expected 5"):
+    with pytest.raises(CheckFailed, match=r"eigenspace \+1: dimension 6, expected 5"):
         wm.eigen_decomposition()
 
 
@@ -257,6 +258,39 @@ def test_diagonal_forms_exact():
                                         for name in wm.INVARIANT_NAMES}
 
 
+COEFFICIENT_DRAWS = {
+    "int": lambda rng: rng.randint(-3, 3),
+    "Fraction": lambda rng: Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
+    "Q(i)": lambda rng: GaussianRational(Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
+                                         rng.randint(-2, 2)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(COEFFICIENT_DRAWS))
+def test_restriction_matches_the_substitution(kind):
+    rng = random.Random(19)
+    draw = COEFFICIENT_DRAWS[kind]
+    s, t = Polynomial.variables(wm.diagonal_registry(), "s", "t")
+    merged = 0
+    for _ in range(200):
+        poly = Polynomial(wm.chart_registry(),
+                          {tuple(rng.randint(0, 2) for _ in range(4)): draw(rng)
+                           for _ in range(rng.randint(0, 12))})
+        restricted = wm.restrict_to_diagonal(poly)
+        assert restricted == substitute(poly, {"x": s, "y": t})
+        merged += restricted.term_count() < poly.term_count()
+    assert merged > 50  # terms meet on the diagonal
+
+
+@pytest.mark.parametrize("registry", [wm.diagonal_registry(), wm.coefficient_registry(),
+                                      VariableRegistry(("s", "t", "y", "x"))],
+                         ids=["diagonal", "coefficients", "reordered-chart"])
+def test_restriction_refuses_another_registry(registry):
+    poly = Polynomial.variable(registry, registry.names[0])
+    with pytest.raises(ValueError, match=r"is not a polynomial in \('s', 't', 'x', 'y'\)"):
+        wm.restrict_to_diagonal(poly)
+
+
 def test_diagonal_checks_restrict_nothing_per_call(monkeypatch):
     wm.diagonal_generators()  # the one restriction of a1..a6
 
@@ -269,7 +303,7 @@ def test_diagonal_checks_restrict_nothing_per_call(monkeypatch):
 
 
 def test_diagonal_base_point_free():
-    # raises BasePointFound unless the restricted system is base-point-free
+    # raises CheckFailed unless the restricted system is base-point-free
     assert wm.verify_diagonal() == wm.diagonal_restriction_factors()
 
 
@@ -325,7 +359,7 @@ def test_term_outside_the_quadratic_basis_is_a_remainder(monkeypatch, table, row
         return tables
 
     monkeypatch.setattr(wm, "_relation_tables", with_a_cubic_term)
-    with pytest.raises(wm.NonzeroRemainder) as raised:
+    with pytest.raises(CheckFailed) as raised:
         wm.eliminate.__wrapped__()
     assert str(raised.value) == f"{label}: remainder a1*a2*a3"
 

@@ -5,8 +5,10 @@
 Runs the test suite in this process under a line tracer (sys.settrace)
 that records the lines of src/prymcert only, and prints every executable
 line that no test reached and that ALLOWED does not excuse, as
-path:line: source.  Exits 0 when that list is empty, 1 when it is not,
-and with pytest's exit code when the suite itself fails.  It needs only
+path:line: source, and then every ALLOWED entry that excused no line, so
+the list cannot outlive the code it names.  Exits 0 when both lists are
+empty, 1 when either is not, and with pytest's exit code when the suite
+itself fails.  It needs only
 the standard library and pytest, takes well under a minute, and is run
 by hand, not as part of Tier-1.  (The trace module is not used: its
 ignore list is cached by module base name, so ignoring the standard
@@ -73,9 +75,11 @@ def run_suite(argv: "list[str]") -> "tuple[int, set[tuple[str, int]]]":
     return int(code), reached
 
 
-def allowed(function: str, source: str) -> bool:
-    return any((name is None or name == function) and (text is None or text == source)
-               for name, text, _ in ALLOWED)
+def excuses(function: str, source: str) -> "list[tuple[str | None, str | None, str]]":
+    """The ALLOWED entries that excuse an unreached line of this function and source."""
+    return [entry for entry in ALLOWED
+            if (entry[0] is None or entry[0] == function)
+            and (entry[1] is None or entry[1] == source)]
 
 
 def main(argv: "list[str]") -> int:
@@ -86,14 +90,21 @@ def main(argv: "list[str]") -> int:
         return code
     reached = {(Path(filename).resolve(), lineno) for filename, lineno in traced}
     unreached = []
+    used = set()
     for path in sorted(PACKAGE.glob("*.py")):
         source = path.read_text(encoding="utf-8").splitlines()
         for lineno, function in sorted(executable_lines(path).items()):
             text = source[lineno - 1].strip()
-            if (path, lineno) not in reached and not allowed(function, text):
+            if (path, lineno) in reached:
+                continue
+            entries = excuses(function, text)
+            used.update(entries)
+            if not entries:
                 unreached.append(f"{path.relative_to(ROOT)}:{lineno}: {text}")
+    stale = [f"stale ALLOWED entry: {entry}" for entry in ALLOWED if entry not in used]
     print("\n".join(unreached) if unreached else "every executable line of src/ is reached")
-    return 1 if unreached else 0
+    print("\n".join(stale) if stale else "every ALLOWED entry excuses a line")
+    return 1 if unreached or stale else 0
 
 
 if __name__ == "__main__":

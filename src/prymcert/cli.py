@@ -2,11 +2,12 @@
 
 Grammar (LL(1), whitespace-insensitive):
 
-    expr     := term (("+" | "-") term)*
-    term     := factor ("*" factor)*        # no implicit multiplication
-    factor   := base ("^" uint)?
-    base     := rational | "i" | identifier | "(" expr ")"
-    rational := int ("/" uint)?             # sign only on the numerator
+    expr       := term (("+" | "-") term)*
+    term       := factor ("*" factor)*      # no implicit multiplication
+    factor     := base ("^" uint)?
+    base       := rational | "i" | identifier | "(" expr ")"
+    rational   := int ("/" uint)?           # sign only on the numerator
+    identifier := [A-Za-z_][A-Za-z0-9_]*    # ASCII only
 
 "i" is the imaginary unit, never a variable.  The parser lowers as it
 reads: each rule returns its Polynomial, and no syntax tree is built.
@@ -43,6 +44,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 from math import comb
@@ -74,6 +76,9 @@ class ParseError(ValueError):
 # ---------------------------------------------------------------------------
 
 _PUNCT = set("+-*^/()")
+
+# the one rule for variable names: what the lexer reads and what --vars may name
+_IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
 class _Token:
@@ -108,17 +113,16 @@ def _tokenize(text: str) -> "list[_Token]":
             tokens.append(_Token("int", text[start:k], line, col))
             col += k - start
             continue
-        if ch.isalpha() or ch == "_":
-            start = k
-            while k < len(text) and (text[k].isalnum() or text[k] == "_"):
-                k += 1
-            tokens.append(_Token("ident", text[start:k], line, col))
-            col += k - start
-            continue
         if ch in _PUNCT:
             tokens.append(_Token(ch, ch, line, col))
             col += 1
             k += 1
+            continue
+        name = _IDENTIFIER.match(text, k)
+        if name:
+            tokens.append(_Token("ident", name.group(), line, col))
+            col += name.end() - k
+            k = name.end()
             continue
         raise ParseError(f"unexpected character {ch!r}", line, col)
     tokens.append(_Token("end", "", line, col))
@@ -299,7 +303,8 @@ class _Parser:
 
 
 def parse_poly(text: str, registry: VariableRegistry) -> Polynomial:
-    """Parse an expression into a Polynomial in the registry, which must not name 'i'.
+    """Parse an expression into a Polynomial in the registry, whose names
+    must be identifiers of the grammar other than 'i' (else ValueError).
 
     ParseError, UnknownVariable, or ValueError for a power or a product
     whose size bound exceeds MAX_POWER_SIZE (before it is computed):
@@ -307,6 +312,9 @@ def parse_poly(text: str, registry: VariableRegistry) -> Polynomial:
     """
     if "i" in registry:
         raise ValueError("'i' is the imaginary unit and cannot be a variable")
+    for name in registry.names:
+        if not _IDENTIFIER.fullmatch(name):
+            raise ValueError(f"variable name {name!r} is not an ASCII identifier")
     return _Parser(_tokenize(text), registry).parse()
 
 

@@ -1,4 +1,4 @@
-"""Exact arithmetic over Q and Q(i).
+"""Exact arithmetic over Q, and the Gaussian rationals of parsed input.
 
 A coefficient in this package is a plain Python number wherever the
 imaginary unit does not occur, and a Gaussian rational only where it
@@ -9,15 +9,16 @@ forms:
   * a `fractions.Fraction` with denominator > 1;
   * a `GaussianRational` (a pair of Fractions re + im*i) with im != 0.
 
-Gaussian arithmetic returns the real form as soon as an imaginary part
-cancels, and compares and hashes equal to the real number it denotes, so
-two equal values have one representation and polynomial equality
-reduces to coefficient comparison.  In the package, i occurs only in the
-named generators, the identity suite, the eigenvalues of the rotation
-and parsed input; linalg's elimination refuses it.  GaussianRational is
-a plain class with __slots__ whose instances are immutable (Frozen, the
-base shared with the value types of weil_model).  No floating point is
-used anywhere: `int / int` is a float in Python, so every coefficient
+i occurs only in input parsed by the cli module's expression grammar and
+in its rendering; every verdict is computed over Q.  So GaussianRational
+has the ring operations that grammar uses (+, unary -, *) and no
+division or power.  Its arithmetic returns the real form as soon as an
+imaginary part cancels, and it compares and hashes equal to the real
+number it denotes, so two equal values have one representation and
+polynomial equality reduces to coefficient comparison.  GaussianRational
+is a plain class with __slots__ whose instances are immutable (Frozen,
+the base shared with the value types of weil_model).  No floating point
+is used anywhere: `int / int` is a float in Python, so every coefficient
 division goes through `quotient`.
 
 Textual form: a rational renders as ``p`` or ``p/q``; a Gaussian rational
@@ -116,18 +117,6 @@ class GaussianRational(Frozen):
     def __neg__(self):
         return _gaussian(-self.re, -self.im)
 
-    def __sub__(self, other: object):
-        if type(other) is GaussianRational:
-            return _gaussian(self.re - other.re, self.im - other.im)
-        if isinstance(other, (int, Fraction)):
-            return _gaussian(self.re - other, self.im)
-        return NotImplemented
-
-    def __rsub__(self, other: object):
-        if isinstance(other, (int, Fraction)):
-            return _gaussian(other - self.re, -self.im)
-        return NotImplemented
-
     def __mul__(self, other: object):
         if type(other) is GaussianRational:
             a, b, c, d = self.re, self.im, other.re, other.im
@@ -137,38 +126,6 @@ class GaussianRational(Frozen):
         return NotImplemented
 
     __rmul__ = __mul__
-
-    def inverse(self):
-        """Multiplicative inverse; conjugate over the norm re^2 + im^2."""
-        norm = self.re * self.re + self.im * self.im
-        if norm == 0:
-            raise ZeroDivisionError("inverse of zero in Q(i)")
-        return _gaussian(self.re / norm, -self.im / norm)
-
-    def __truediv__(self, other: object):
-        if type(other) is GaussianRational:
-            return self * other.inverse()
-        if isinstance(other, (int, Fraction)):
-            return _gaussian(self.re / other, self.im / other)
-        return NotImplemented
-
-    def __rtruediv__(self, other: object):
-        if isinstance(other, (int, Fraction)):
-            return self.inverse() * other
-        return NotImplemented
-
-    def __pow__(self, exponent: int):
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("exponent must be a non-negative integer")
-        result = 1
-        base = self
-        n = exponent
-        while n:
-            if n & 1:
-                result = base * result
-            base = base * base
-            n >>= 1
-        return result
 
     # -- rendering ----------------------------------------------------------
 

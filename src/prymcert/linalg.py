@@ -1,21 +1,18 @@
 """Exact linear algebra over Q and over polynomial rings.
 
-ScalarMatrix holds exact numbers in the form exactnum.normalize gives
-(int, Fraction, or GaussianRational where i occurs).  rank, right kernel
-bases and det_rref work over Q only, all from one fraction-free
-Gauss-Jordan pass over Z: each row is cleared of denominators and
-content (exactnum.primitive), each combined row is made primitive again
-and the row multipliers are recorded for the determinant; the only
-divisions are the final ones by the pivots.  A GaussianRational entry is
-refused with a TypeError that names it: no matrix over Q(i) reaches this
-pass (the eigenspaces of the rotation come from sigma-orbits instead,
-see weil_model.eigen_decomposition).
+ScalarMatrix holds rationals in the form exactnum.normalize gives (int,
+or Fraction with denominator > 1).  rank, right kernel bases and
+det_rref all come from one fraction-free Gauss-Jordan pass over Z: each
+row is cleared of denominators and content (exactnum.primitive), each
+combined row is made primitive again and the row multipliers are
+recorded for the determinant; the only divisions are the final ones by
+the pivots.
 PolyMatrix holds ring elements (polynomials, or any type with +, -, *,
 **0 and bool) and gets its determinant by cofactor expansion along the
 rows, memoized over the set of columns each trailing minor uses; that
-expansion is generic, so it also takes a ScalarMatrix over Q(i).  The
-largest matrix in use is the 6x6 elimination matrix, where the
-expansion visits at most 2^6 minors.
+expansion is generic, so it also takes a ScalarMatrix.  The largest
+matrix in use is the 6x6 elimination matrix, where the expansion visits
+at most 2^6 minors.
 """
 
 from __future__ import annotations
@@ -23,7 +20,7 @@ from __future__ import annotations
 from math import gcd, prod
 from typing import Callable, Iterable, Sequence
 
-from .exactnum import Coefficient, GaussianRational, normalize, primitive, quotient
+from .exactnum import Coefficient, normalize, primitive, quotient
 
 
 class _MatrixBase:
@@ -61,8 +58,7 @@ class _MatrixBase:
 
 
 class ScalarMatrix(_MatrixBase):
-    """Dense matrix of exact numbers (int, Fraction or GaussianRational);
-    rank, kernel_basis and det_rref take it over Q only."""
+    """Dense matrix of rationals (int or Fraction)."""
 
     def __init__(self, entries):
         entries = tuple(tuple(normalize(e) for e in row) for row in entries)
@@ -99,17 +95,11 @@ def _rref(matrix: ScalarMatrix) -> "tuple[list[list[int]], list[tuple[int, int]]
     determinant.  Each row is cleared of denominators and content
     (exactnum.primitive) at the start and after every combination; num
     and den record the row multipliers, so that
-    det(matrix) * num == det(a) * den throughout.  TypeError names the
-    first entry outside Q.
+    det(matrix) * num == det(a) * den throughout.
     """
     a = []
     num = den = 1
-    for i, row in enumerate(matrix.entries):
-        kinds = list(map(type, row))
-        if GaussianRational in kinds:
-            j = kinds.index(GaussianRational)
-            raise TypeError(f"entry ({i}, {j}) = {row[j]} is not rational: "
-                            f"rank, kernel_basis and det_rref work over Q only")
+    for row in matrix.entries:
         ints, scale, content = primitive(row)
         a.append(ints)
         num *= scale

@@ -1,10 +1,12 @@
-"""Sparse multivariate polynomial arithmetic over Q and Q(i).
+"""Sparse multivariate polynomial arithmetic over Q, and over Q(i) for parsed input.
 
 A polynomial is a map from monomials to nonzero exact coefficients, each
 in the one form exactnum.normalize gives: an int, a Fraction with
-denominator > 1, or a GaussianRational with a nonzero imaginary part.
+denominator > 1, or a Gaussian rational with a nonzero imaginary part.
 So a polynomial in which i does not occur is computed in plain integer
-and Fraction arithmetic.
+and Fraction arithmetic.  i occurs only in what the cli module's
+expression grammar parses, which is built by +, -, * and ** and
+rendered, never evaluated.
 
 Monomials are exponent tuples indexed by a VariableRegistry, which fixes
 the variable order once and for all; two registries are interchangeable
@@ -14,9 +16,9 @@ Term order is graded lexicographic in registry index order (total degree
 first, then exponent tuples compared left to right, larger first), so
 iteration and the canonical text rendering are byte-stable across runs.
 
-evaluate_all evaluates many polynomials of one registry at one point with
-one power table per variable, shared by all of them; Polynomial.evaluate
-is its one-polynomial case.
+evaluate_all evaluates many polynomials of one registry at one rational
+point with one power table per variable, shared by all of them;
+Polynomial.evaluate is its one-polynomial case.
 
 Polynomials are immutable after construction; all operations allocate
 fresh results and may be used freely across threads.
@@ -25,7 +27,7 @@ fresh results and may be used freely across threads.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm, prod
+from math import prod
 from operator import add, getitem
 from typing import Iterable, Mapping, Sequence
 
@@ -290,7 +292,7 @@ def evaluate_all(polys: "Sequence[Polynomial]",
     degree of that variable in any of the polynomials, and each sum of
     coefficient times table entries is divided once by the product of the
     d^top.  So integer polynomials at a rational point are summed in plain
-    ints, and at a Q(i) point in Gaussian rationals with integer parts.
+    ints.
     """
     if not polys:
         return []
@@ -311,7 +313,7 @@ def evaluate_all(polys: "Sequence[Polynomial]",
             continue
         if k not in values:
             raise UnboundVariable(f"variable {registry.names[k]!r} is not bound")
-        n, d = _numerator_denominator(values[k])
+        n, d = values[k].numerator, values[k].denominator
         table = [1]
         for _ in range(top):
             table.append(table[-1] * n)
@@ -326,15 +328,6 @@ def evaluate_all(polys: "Sequence[Polynomial]",
             total = total + prod(map(getitem, tables, mono), start=coeff)
         results.append(quotient(total, denominator))
     return results
-
-
-def _numerator_denominator(value: Coefficient) -> "tuple[Coefficient, int]":
-    """(n, d) with value = n / d, d a positive int and n an int or a
-    Gaussian rational with integer parts."""
-    if type(value) is GaussianRational:
-        d = lcm(value.re.denominator, value.im.denominator)
-        return value * d, d
-    return value.numerator, value.denominator
 
 
 def _render_monomial(registry: VariableRegistry, mono: Monomial) -> str:

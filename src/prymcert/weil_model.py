@@ -2,21 +2,24 @@
 
 Everything here works in the affine chart (s, t, x, y).  The space V of
 multilinear forms (each variable of degree at most 1) is 16-dimensional;
-the rotation sigma acts on it with eigenvalues 1, -1, i, -i and named
-eigenvectors a1..a6, b1..b4, c1..c3, d1..d3.  This module certifies, in
-exact arithmetic:
+the rotation sigma acts on it with eigenvalues 1, -1, i, -i, and named
+eigenvectors a1..a6 and b1..b4 of 1 and -1.  The pairs p_j, q_j with
+sigma p_j = q_j, sigma q_j = -p_j span the rotation planes, so that
+c_j = p_j - i*q_j and d_j = p_j + i*q_j are eigenvectors of i and -i.
+Every check runs over Z or Q; this module certifies, in exact arithmetic:
 
   * the eigenspace decomposition of the rotation sigma on V: sigma
     permutes the 16 multilinear monomials by rotating their exponent
-    tuples (rotate), each eigenspace has one orbit-sum basis vector per
-    sigma-orbit whose size k has lambda^k = 1, and the named generators
-    are matched to it in one pass over their terms, without elimination
-    (the test suite also checks the dihedral relations sigma^4 = tau^2 =
-    1, tau*sigma*tau = sigma^-1 with the involution tau swapping s and x,
-    but no verdict rests on them);
+    tuples (rotate), the orbit sums and the rotation plane of each orbit
+    of size 4 give bases of the eigenspaces of 1 and -1 and of the kernel
+    of sigma^2 + 1, and the named generators are matched to them in one
+    pass over their terms, without elimination (the test suite also
+    checks the dihedral relations sigma^4 = tau^2 = 1, tau*sigma*tau =
+    sigma^-1 with the involution tau swapping s and x, but no verdict
+    rests on them);
   * the 17 product identities: the unique cubic relation among a1..a6,
     the seven expressions of b-products over invariant quadratics, and
-    the nine expressions of c*d-products;
+    the nine expressions of c*d-products, each an identity over Z;
   * the restriction of a1..a6 to the diagonal x=s, y=t, an exponent map
     (s^a t^b x^c y^d goes to s^(a+c) t^(b+d)), with the proportionality
     factors and base-point-freeness of the restricted system by the
@@ -49,7 +52,7 @@ equations.  No Sylvester matrix and no Polynomial is built per triple.
 
 The action convention is pinned by tests: sigma acts on polynomials by
 the substitution s->t, t->x, x->y, y->s, the unique convention for which
-c1 = s - i*t - x + i*y is multiplied by +i.
+sigma p1 = q1, that is, c1 = s - i*t - x + i*y is multiplied by +i.
 """
 
 from __future__ import annotations
@@ -65,7 +68,6 @@ from .exactnum import (
     Coefficient,
     Frozen,
     GaussianRational,
-    IMAG_UNIT,
     Rational,
     primitive,
     quotient,
@@ -117,7 +119,6 @@ def rotate(mono: Monomial) -> Monomial:
 
 def _build_generators(reg: VariableRegistry) -> "dict[str, Polynomial]":
     s, t, x, y = Polynomial.variables(reg, "s", "t", "x", "y")
-    i = IMAG_UNIT
     one = Polynomial.constant(reg, 1)
     return {
         "a1": s + t + x + y,
@@ -130,12 +131,12 @@ def _build_generators(reg: VariableRegistry) -> "dict[str, Polynomial]":
         "b2": s * t - t * x + x * y - y * s,
         "b3": t * x * y - s * x * y + s * t * y - s * t * x,
         "b4": s * x - t * y,
-        "c1": s - i * t - x + i * y,
-        "c2": s * t - i * (t * x) - x * y + i * (y * s),
-        "c3": t * x * y - i * (s * x * y) - s * t * y + i * (s * t * x),
-        "d1": s + i * t - x - i * y,
-        "d2": s * t + i * (t * x) - x * y - i * (y * s),
-        "d3": t * x * y + i * (s * x * y) - s * t * y - i * (s * t * x),
+        "p1": s - x,
+        "p2": s * t - x * y,
+        "p3": t * x * y - s * t * y,
+        "q1": t - y,
+        "q2": t * x - y * s,
+        "q3": s * x * y - s * t * x,
     }
 
 
@@ -149,11 +150,12 @@ def generators() -> "dict[str, Polynomial]":
 _EIGENSPACES = {
     "+1": (1, ("a1", "a2", "a3", "a4", "a5", "a6")),
     "-1": (-1, ("b1", "b2", "b3", "b4")),
-    "+i": (IMAG_UNIT, ("c1", "c2", "c3")),
-    "-i": (-IMAG_UNIT, ("d1", "d2", "d3")),
 }
 
-EIGENVALUE_LABELS = tuple(_EIGENSPACES)
+# the rotation planes (p_j, q_j): sigma p_j = q_j and sigma q_j = -p_j
+_ROTATION_PAIRS = (("p1", "q1"), ("p2", "q2"), ("p3", "q3"))
+
+EIGENVALUE_LABELS = ("+1", "-1", "+i", "-i")
 
 
 def multilinear_monomials(reg: VariableRegistry) -> "list[Monomial]":
@@ -190,28 +192,35 @@ def sigma_orbits(monos: Sequence[Monomial]) -> "list[tuple[Monomial, ...]]":
 def eigen_decomposition() -> "tuple[int, int, int, int]":
     """Match the named generators to the eigenspaces of the rotation.
 
-    sigma permutes the 16 multilinear monomials (rotate).  For each orbit
-    (m, sigma(m), ..., sigma^(k-1)(m)) whose size k has alpha^k = 1, the
-    orbit sum sum_j alpha^(-j) sigma^j(m) is an alpha-eigenvector (the
-    projection formula for a cyclic group).  Sums over disjoint orbits
-    are independent, and every orbit of size k (k divides 4) serves
-    exactly k of the eigenvalues 1, -1, i, -i, so the four eigenspaces
-    get 16 orbit sums between them, and those for alpha span the whole
-    alpha-eigenspace.  The sum for m has coefficient 1 at m and 0 at
-    every other representative orbit[0], so the coordinates of an
-    eigenvector in this basis are its coefficients at the
-    representatives, and the dimension is their number.
+    sigma permutes the 16 multilinear monomials (rotate).  For alpha = 1
+    or -1, each orbit (m, sigma(m), ..., sigma^(k-1)(m)) whose size k has
+    alpha^k = 1 gives the alpha-eigenvector sum_j alpha^j sigma^j(m) (the
+    projection formula for a cyclic group), and each orbit of size 4 also
+    gives a rotation plane with basis m - sigma^2(m), sigma(m) - sigma^3(m).
+    These 16 vectors are a basis of V, so the orbit sums for alpha span
+    the alpha-eigenspace and the planes the kernel of sigma^2 + 1, and a
+    vector there has as coordinates its coefficients at orbit[0] (and in
+    a plane orbit[1]) of the orbits involved.
 
-    Each named generator g must satisfy sigma(g) = alpha*g as a
-    polynomial identity, and the square matrix of the generators'
-    coordinates at the representatives must have a nonzero determinant,
-    so they are a basis of that eigenspace.  CheckFailed is raised on any
-    discrepancy.  Returns the dimensions in the order of
-    EIGENVALUE_LABELS.
+    The named generators must satisfy sigma(g) = alpha*g, and sigma(p) = q,
+    sigma(q) = -p for each rotation pair, as polynomial identities, and
+    their coordinates must have a nonzero determinant (for the planes one
+    6x6 integer determinant).  The eigenspaces of i and -i over C are then
+    spanned by the c_j = p_j - i*q_j and the d_j = p_j + i*q_j, which
+    complex conjugation swaps, so each has half the dimension of the
+    planes.  CheckFailed on any discrepancy.  Returns the dimensions in
+    the order of EIGENVALUE_LABELS.
     """
     reg = chart_registry()
     orbits = sigma_orbits(multilinear_monomials(reg))
     gens = generators()
+    rotated = {name: Polynomial(reg, {rotate(m): c for m, c in g.items()})
+               for name, g in gens.items()}
+
+    def independent(names: "Sequence[str]", monos: "Sequence[Monomial]") -> bool:
+        return bool(det_expansion(ScalarMatrix.from_rows(
+            [[gens[name].coefficient(m) for m in monos] for name in names])))
+
     dims = []
     for label, (alpha, names) in _EIGENSPACES.items():
         representatives = [orbit[0] for orbit in orbits if alpha ** len(orbit) == 1]
@@ -220,15 +229,20 @@ def eigen_decomposition() -> "tuple[int, int, int, int]":
                 f"eigenspace {label}: dimension {len(representatives)}, "
                 f"expected {len(names)}")
         for name in names:
-            rotated = Polynomial(reg, {rotate(m): c for m, c in gens[name].terms()})
-            if rotated != alpha * gens[name]:
+            if rotated[name] != alpha * gens[name]:
                 raise CheckFailed(f"named generator {name} is not a {label}-eigenvector")
-        coordinates = ScalarMatrix.from_rows(
-            [[gens[name].coefficient(m) for m in representatives] for name in names])
-        if not det_expansion(coordinates):
+        if not independent(names, representatives):
             raise CheckFailed(f"named generators for {label} are dependent")
         dims.append(len(representatives))
-    return tuple(dims)
+    planes = [orbit[:2] for orbit in orbits if len(orbit) == 4]
+    if len(planes) != len(_ROTATION_PAIRS):
+        raise CheckFailed(f"{len(planes)} rotation planes, expected {len(_ROTATION_PAIRS)}")
+    for p, q in _ROTATION_PAIRS:
+        if rotated[p] != gens[q] or rotated[q] != -gens[p]:
+            raise CheckFailed(f"sigma does not turn {p} into {q} and {q} into -{p}")
+    if not independent(sum(_ROTATION_PAIRS, ()), sum(planes, ())):
+        raise CheckFailed("named generators for the rotation planes are dependent")
+    return tuple(dims) + (len(planes), len(planes))
 
 
 # ---------------------------------------------------------------------------
@@ -291,30 +305,34 @@ def _self_or_pair_product(g: Mapping[str, Polynomial], label: str) -> Polynomial
 @lru_cache(maxsize=1)
 def identity_residuals() -> "dict[str, Polynomial]":
     """Residual (lhs - rhs) of all 17 identities, after substituting the
-    chart definitions of the generators; every residual must be zero."""
+    chart definitions of the generators; every residual must be zero.
+
+    With P_jk = p_j*p_k + q_j*q_k and Q_jk = p_j*q_k - q_j*p_k, so that
+    c_j*d_k = P_jk + i*Q_jk, the complex left side of each c*d identity is
+    a constant times an integer combination of P_jk and Q_jk, such as
+    (c1*d2 - i*c2*d1)/(1 - i) = P_12 - Q_12, and that combination is checked.
+    """
     g = generators()
-    i = IMAG_UNIT
-    half = Fraction(1, 2)
     b_rows, cd_rows = _relation_tables(g)
     rhs = dict(b_rows)
     rhs.update(dict(cd_rows))
     residuals: dict[str, Polynomial] = {"cubic": cubic_relation(g)}
     for name, rhs_poly in b_rows:
         residuals[name] = _self_or_pair_product(g, name) - rhs_poly
-    c1, c2, c3 = g["c1"], g["c2"], g["c3"]
-    d1, d2, d3 = g["d1"], g["d2"], g["d3"]
+    p1, p2, p3, q1, q2, q3 = (g[n] for n in ("p1", "p2", "p3", "q1", "q2", "q3"))
     b1, b2, b3, b4 = g["b1"], g["b2"], g["b3"], g["b4"]
-    residuals["c1*d1"] = c1 * d1 - rhs["c1*d1"]
-    residuals["c3*d3"] = c3 * d3 - rhs["c3*d3"]
-    residuals["c2*d2"] = c2 * d2 - rhs["c2*d2"]
-    residuals["c1*d3+c3*d1"] = half * (c1 * d3 + c3 * d1) - rhs["c1*d3+c3*d1"]
-    residuals["c1*d3-c3*d1"] = (i / 2) * (c1 * d3 - c3 * d1) - b2 * b4
-    residuals["c1*d2-i*c2*d1"] = (
-        (1 / (1 - i)) * (c1 * d2 - i * (c2 * d1)) - rhs["c1*d2-i*c2*d1"])
-    residuals["c1*d2+i*c2*d1"] = (1 / (1 + i)) * (c1 * d2 + i * (c2 * d1)) - b1 * b2
-    residuals["c2*d3+i*c3*d2"] = (
-        (1 / (1 + i)) * (c2 * d3 + i * (c3 * d2)) - rhs["c2*d3+i*c3*d2"])
-    residuals["c2*d3-i*c3*d2"] = (-i / (1 + i)) * (c2 * d3 - i * (c3 * d2)) - b2 * b3
+    P12, Q12 = p1 * p2 + q1 * q2, p1 * q2 - q1 * p2
+    P13, Q13 = p1 * p3 + q1 * q3, p1 * q3 - q1 * p3
+    P23, Q23 = p2 * p3 + q2 * q3, p2 * q3 - q2 * p3
+    residuals["c1*d1"] = p1 * p1 + q1 * q1 - rhs["c1*d1"]
+    residuals["c3*d3"] = p3 * p3 + q3 * q3 - rhs["c3*d3"]
+    residuals["c2*d2"] = p2 * p2 + q2 * q2 - rhs["c2*d2"]
+    residuals["c1*d3+c3*d1"] = P13 - rhs["c1*d3+c3*d1"]
+    residuals["c1*d3-c3*d1"] = -Q13 - b2 * b4
+    residuals["c1*d2-i*c2*d1"] = P12 - Q12 - rhs["c1*d2-i*c2*d1"]
+    residuals["c1*d2+i*c2*d1"] = P12 + Q12 - b1 * b2
+    residuals["c2*d3+i*c3*d2"] = P23 + Q23 - rhs["c2*d3+i*c3*d2"]
+    residuals["c2*d3-i*c3*d2"] = Q23 - P23 - b2 * b3
     assert tuple(residuals) == IDENTITY_NAMES
     return residuals
 

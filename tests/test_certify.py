@@ -1,11 +1,13 @@
 """Pipeline determinism, certificate serialization, and re-verification."""
 
+import hashlib
 import re
 from fractions import Fraction
 
 import pytest
 
-from prymcert import CheckFailed, certify
+from prymcert import CheckFailed, certify, exactnum
+from prymcert import weil_model as wm
 from prymcert.certify import (
     Certificate,
     SeededSampler,
@@ -85,6 +87,26 @@ def test_pipeline_seed0(seed0_certificate):
 def test_pipeline_determinism(seed0_certificate):
     again = run_pipeline(0, 100)
     assert again.to_json() == seed0_certificate.to_json()
+
+
+def test_the_certified_chain_runs_over_q(monkeypatch):
+    # every result in Q(i) is built by exactnum._gaussian
+    def refuse(re, im):
+        raise AssertionError(f"Q(i) arithmetic in the certified chain: {re} + {im}*i")
+
+    cached = [f for f in vars(wm).values() if hasattr(f, "cache_clear")]
+    monkeypatch.setattr(exactnum, "_gaussian", refuse)
+    for function in cached:
+        function.cache_clear()
+    try:
+        text = run_pipeline(0).to_json()
+        verify_certificate(Certificate.from_json(text))
+    finally:  # later tests see values built with the true _gaussian again
+        monkeypatch.undo()
+        for function in cached:
+            function.cache_clear()
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "ee3194657db4b8d7145c00cd39832165e8b252614241b9e3e4501afe54210abf"
 
 
 def test_pipeline_skips_a_triple_that_fails_a_condition(monkeypatch):

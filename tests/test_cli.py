@@ -26,7 +26,7 @@ from prymcert.cli import (
     product_size_bound,
 )
 from prymcert.certify import run_pipeline
-from prymcert.exactnum import GaussianRational
+from prymcert.exactnum import IMAG_UNIT, GaussianRational
 from prymcert.multipoly import Polynomial, UnknownVariable, VariableRegistry
 from prymcert.weil_model import ENTRY_DIGITS, IDENTITY_NAMES, generators
 
@@ -38,7 +38,7 @@ REG = VariableRegistry(("s", "t", "x", "y"))
 def test_parse_generator_expressions():
     g = generators()
     assert parse_poly("s + t + x + y", REG) == g["a1"]
-    assert parse_poly("s - i*t - x + i*y", REG) == g["c1"]
+    assert parse_poly("s - i*t - x + i*y", REG) == g["p1"] - IMAG_UNIT * g["q1"]
     assert not parse_poly("(s+t)^2 - s^2 - 2*s*t - t^2", REG)
 
 
@@ -70,9 +70,11 @@ def test_parse_error_positions():
         parse_poly("s t", REG)  # implicit multiplication is not allowed
     with pytest.raises(ParseError):
         parse_poly("s $ t", REG)
-    # an integer is ASCII digits only: no superscripts, no other scripts' digits
+    # an integer is ASCII digits only: no superscripts, no other scripts' digits;
+    # an identifier is ASCII letters, digits and _
     for text, column, char in (("s^\u00b2", 3, "\u00b2"), ("1\u00b2", 2, "\u00b2"),
-                               ("\u0663*s", 1, "\u0663")):
+                               ("\u0663*s", 1, "\u0663"), ("\u00e9*s", 1, "\u00e9"),
+                               ("x\u00b2+x", 2, "\u00b2")):
         with pytest.raises(ParseError, match=f"unexpected character '{char}'") as err:
             parse_poly(text, REG)
         assert (err.value.line, err.value.column) == (1, column)
@@ -455,6 +457,14 @@ def test_parse_subcommand(capsys):
 
     assert main(["parse", "--expr", "s +"]) == 2
     assert "expected" in capsys.readouterr().err
+
+    # --vars names only what the grammar can read
+    for expr, names, bad in (("s", "s,x-y,s t", "x-y"), ("x\u00b2+x", "x,x\u00b2", "x\u00b2"),
+                             ("s", "s,2s", "2s")):
+        assert main(["parse", "--expr", expr, "--vars", names]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: variable name {bad!r} is not an ASCII identifier\n"
 
     assert main(["parse", "--expr", "s", "--json"]) == 0
     assert json.loads(capsys.readouterr().out) == {"polynomial": "s"}

@@ -73,16 +73,22 @@ def test_action_convention_pinned():
     g = wm.generators()
     assert SIGMA(g["a1"]) == g["a1"]
     assert SIGMA(g["b1"]) == -g["b1"]
-    assert SIGMA(g["c1"]) == IMAG_UNIT * g["c1"]
-    assert SIGMA(g["d1"]) == -IMAG_UNIT * g["d1"]
+    assert SIGMA(g["p1"]) == g["q1"]
+    assert SIGMA_INVERSE(g["p1"]) == -g["q1"]
 
 
 def test_every_generator_is_an_eigenvector():
+    # a and b directly; p and q through their complex forms c = p - i*q, d = p + i*q
     g = wm.generators()
-    eigenvalues = {"a": 1, "b": -1, "c": IMAG_UNIT, "d": -IMAG_UNIT}
-    for name, poly in g.items():
-        alpha = eigenvalues[name[0]]
-        assert SIGMA(poly) == alpha * poly, name
+    for name in wm.INVARIANT_NAMES:
+        assert SIGMA(g[name]) == g[name], name
+    for name in ("b1", "b2", "b3", "b4"):
+        assert SIGMA(g[name]) == -g[name], name
+    for k in "123":
+        p, q = g["p" + k], g["q" + k]
+        assert SIGMA(p) == q and SIGMA(q) == -p, k
+        c, d = p - IMAG_UNIT * q, p + IMAG_UNIT * q
+        assert SIGMA(c) == IMAG_UNIT * c and SIGMA(d) == -IMAG_UNIT * d, k
 
 
 def test_invariants_are_tau_invariant():
@@ -98,15 +104,11 @@ def test_eigen_dimensions():
 
 
 def test_named_generators_span_v():
-    # d_k is c_k with i replaced by -i, so c_k + d_k and i*(d_k - c_k) are
-    # rational and span what c_k and d_k span; rank works over Q
+    # p_k and q_k span what c_k = p_k - i*q_k and d_k = p_k + i*q_k span
     reg = wm.chart_registry()
     monos = wm.multilinear_monomials(reg)
-    g = dict(wm.generators())
-    for k in "123":
-        c, d = g.pop("c" + k), g.pop("d" + k)
-        g["c" + k + "+d" + k] = c + d
-        g["i*(d" + k + "-c" + k + ")"] = IMAG_UNIT * (d - c)
+    g = wm.generators()
+    assert len(g) == 16
     rows = [[poly.coefficient(m) for m in monos] for poly in g.values()]
     assert all(type(v) is int for row in rows for v in row)
     assert rank(ScalarMatrix.from_rows(rows)) == 16
@@ -147,11 +149,16 @@ def test_eigenbasis_mismatch_not_an_eigenvector(monkeypatch, capsys):
     from prymcert.cli import main
 
     g = wm.generators()
-    _with_generators(monkeypatch, c2=g["c2"] + g["d2"])
-    with pytest.raises(CheckFailed, match=r"c2 is not a \+i-eigenvector"):
+    _with_generators(monkeypatch, b2=g["b2"] + g["a2"])
+    with pytest.raises(CheckFailed, match=r"b2 is not a -1-eigenvector"):
+        wm.eigen_decomposition()
+    monkeypatch.undo()
+    _with_generators(monkeypatch, p2=g["p2"] + g["q2"])  # sigma(p2 + q2) = q2 - p2
+    with pytest.raises(CheckFailed, match="sigma does not turn p2 into q2 and q2 into -p2"):
         wm.eigen_decomposition()
     assert main(["verify", "eigenspaces"]) == 1
-    assert capsys.readouterr().out.startswith("Fail eigenspaces: named generator c2")
+    assert capsys.readouterr().out == \
+        "Fail eigenspaces: sigma does not turn p2 into q2 and q2 into -p2\n"
 
 
 def test_eigenbasis_mismatch_dependent_generators(monkeypatch):
@@ -159,11 +166,20 @@ def test_eigenbasis_mismatch_dependent_generators(monkeypatch):
     _with_generators(monkeypatch, b3=g["b1"] - 2 * g["b4"])  # a -1-eigenvector
     with pytest.raises(CheckFailed, match="named generators for -1 are dependent"):
         wm.eigen_decomposition()
+    monkeypatch.undo()
+    _with_generators(monkeypatch, p3=g["p1"], q3=g["q1"])  # a rotation pair
+    with pytest.raises(CheckFailed,
+                       match="named generators for the rotation planes are dependent"):
+        wm.eigen_decomposition()
 
 
 def test_eigenbasis_mismatch_dimension(monkeypatch):
     monkeypatch.setitem(wm._EIGENSPACES, "+1", (1, ("a1", "a2", "a3", "a4", "a5")))
     with pytest.raises(CheckFailed, match=r"eigenspace \+1: dimension 6, expected 5"):
+        wm.eigen_decomposition()
+    monkeypatch.undo()
+    monkeypatch.setattr(wm, "_ROTATION_PAIRS", wm._ROTATION_PAIRS[:2])
+    with pytest.raises(CheckFailed, match="^3 rotation planes, expected 2$"):
         wm.eigen_decomposition()
 
 
@@ -208,10 +224,85 @@ def test_mutated_product_identities_fail():
     a1, a2, a3, a4, a5, a6 = (g[n] for n in wm.INVARIANT_NAMES)
     assert g["b1"] ** 2 - (a1 ** 2 - 3 * (a2 * a6))          # 4 -> 3
     assert g["b3"] * g["b4"] - (a3 * a4 + 2 * (a1 * a5))     # sign flip
-    i = IMAG_UNIT
-    wrong = (1 / (1 - i)) * (g["c1"] * g["d2"] - i * (g["c2"] * g["d1"])) \
-        - (a1 * a2 - 3 * (a3 * a6))
+    p1, p2, q1, q2 = g["p1"], g["p2"], g["q1"], g["q2"]
+    wrong = (p1 * p2 + q1 * q2) - (p1 * q2 - q1 * p2) - (a1 * a2 - 3 * (a3 * a6))
     assert wrong
+
+
+def _complex_forms():
+    """The +-i-eigenvectors c1..c3 and d1..d3, written out over Q(i)."""
+    s, t, x, y = Polynomial.variables(wm.chart_registry(), "s", "t", "x", "y")
+    i = IMAG_UNIT
+    c = {1: s - i * t - x + i * y,
+         2: s * t - i * (t * x) - x * y + i * (y * s),
+         3: t * x * y - i * (s * x * y) - s * t * y + i * (s * t * x)}
+    d = {1: s + i * t - x - i * y,
+         2: s * t + i * (t * x) - x * y - i * (y * s),
+         3: t * x * y + i * (s * x * y) - s * t * y - i * (s * t * x)}
+    return c, d
+
+
+def test_complex_forms_are_the_rotation_pairs():
+    g = wm.generators()
+    c, d = _complex_forms()
+    for k in (1, 2, 3):
+        assert g[f"p{k}"] - IMAG_UNIT * g[f"q{k}"] == c[k]
+        assert g[f"p{k}"] + IMAG_UNIT * g[f"q{k}"] == d[k]
+
+
+def test_complex_left_sides_equal_the_integer_ones():
+    # c_j*d_k = P_jk + i*Q_jk: each c*d identity, with its complex left side
+    # times a constant of Q(i) (no division), is one identity over Z
+    g = wm.generators()
+    c, d = _complex_forms()
+    p = {k: g[f"p{k}"] for k in (1, 2, 3)}
+    q = {k: g[f"q{k}"] for k in (1, 2, 3)}
+
+    def P(j, k):
+        return p[j] * p[k] + q[j] * q[k]
+
+    def Q(j, k):
+        return p[j] * q[k] - q[j] * p[k]
+
+    i, half = IMAG_UNIT, Fraction(1, 2)
+    right = dict(wm._relation_tables(g)[1])
+    right.update({"c1*d3-c3*d1": g["b2"] * g["b4"], "c1*d2+i*c2*d1": g["b1"] * g["b2"],
+                  "c2*d3-i*c3*d2": g["b2"] * g["b3"]})
+    cases = {  # name: (constant, complex left side, integer left side)
+        "c1*d1": (1, c[1] * d[1], P(1, 1)),
+        "c3*d3": (1, c[3] * d[3], P(3, 3)),
+        "c2*d2": (1, c[2] * d[2], P(2, 2)),
+        "c1*d3+c3*d1": (half, c[1] * d[3] + c[3] * d[1], P(1, 3)),
+        "c1*d3-c3*d1": (half * i, c[1] * d[3] - c[3] * d[1], -Q(1, 3)),
+        "c1*d2-i*c2*d1": (half * (1 + i), c[1] * d[2] - i * (c[2] * d[1]), P(1, 2) - Q(1, 2)),
+        "c1*d2+i*c2*d1": (half * (1 + -i), c[1] * d[2] + i * (c[2] * d[1]), P(1, 2) + Q(1, 2)),
+        "c2*d3+i*c3*d2": (half * (1 + -i), c[2] * d[3] + i * (c[3] * d[2]), P(2, 3) + Q(2, 3)),
+        "c2*d3-i*c3*d2": (-half * (1 + i), c[2] * d[3] - i * (c[3] * d[2]), Q(2, 3) - P(2, 3)),
+    }
+    assert tuple(cases) == wm.CD_IDENTITY_NAMES
+    for name, (constant, complex_side, integer_side) in cases.items():
+        assert constant * complex_side == integer_side, name
+        assert integer_side == right[name], name
+
+
+@pytest.mark.parametrize("name, uses", [
+    ("p1", "c1*d1, c1*d3+c3*d1, c1*d3-c3*d1, c1*d2-i*c2*d1, c1*d2+i*c2*d1"),
+    ("q3", "c3*d3, c1*d3+c3*d1, c1*d3-c3*d1, c2*d3+i*c3*d2, c2*d3-i*c3*d2"),
+], ids=["p1", "q3"])
+def test_a_changed_rotation_generator_fails_the_identities_that_use_it(name, uses,
+                                                                      monkeypatch):
+    g = wm.generators()
+    mono, _ = g[name].leading()
+    changed = g[name] + Polynomial(wm.chart_registry(), {mono: 1})  # coefficient + 1
+    _with_generators(monkeypatch, **{name: changed})
+    wm.identity_residuals.cache_clear()
+    try:
+        with pytest.raises(CheckFailed) as err:
+            wm.check_identities()
+    finally:  # later tests see the true residuals again
+        monkeypatch.undo()
+        wm.identity_residuals.cache_clear()
+    assert str(err.value) == f"nonzero residual in {uses}"
 
 
 def test_cubic_relation_is_unique():

@@ -216,8 +216,8 @@ def universal_fields() -> "dict[str, object]":
     """The certificate fields that do not depend on the seed, freshly computed.
 
     Keys are Certificate field names.  A check whose claim fails raises
-    CheckFailed.  det M is cross-checked at the origin by elimination of
-    the evaluated 6x6 over Q, and must be 1 there, hence nonzero.
+    CheckFailed.  det M at the origin, by elimination over Q, must equal
+    the symbolic det M there and be 1, hence nonzero.
     """
     identities = check_identities()
     dims = eigen_decomposition()
@@ -248,8 +248,8 @@ def run_pipeline(seed: int, max_attempts: int = 100) -> Certificate:
     A universal check that fails raises CheckFailed, and no certificate
     is made.  When no sampled triple passes all three witness conditions
     within max_attempts, the witness fields stay absent and the overall
-    verdict is "Fail".  The det M values at the origin and at the witness
-    are cross-checked by elimination of the evaluated 6x6 over Q
+    verdict is "Fail".  The det M values at the origin and at the witness,
+    by elimination over Q, are checked against the symbolic det M
     (CheckFailed on a mismatch).
     """
     fields = universal_fields()
@@ -276,8 +276,8 @@ def verify_certificate(cert: Certificate) -> None:
     recomputed one (overall must read "Pass") or the first witness field
     whose correctly recorded value fails its condition: det M nonzero,
     kernel dimension 1, CertifiedEmpty.  The seed is not re-sampled: any
-    witness that passes the checks is as good as the sampled one.  The
-    recomputed det M values are cross-checked as in run_pipeline.
+    witness that passes the checks is as good as the sampled one.  Each
+    det M value, by elimination over Q, is checked against the symbolic one.
     """
     if cert.witness_triple is None:
         raise CheckFailed("certificate has no witness to re-check")

@@ -3,10 +3,10 @@
 ScalarMatrix holds rationals in the form exactnum.normalize gives (int,
 or Fraction with denominator > 1).  rank, right kernel bases and
 det_rref all come from one fraction-free Gauss-Jordan pass over Z: each
-row is cleared of denominators and content (exactnum.primitive), each
-combined row is made primitive again and the row multipliers are
-recorded for the determinant; the only divisions are the final ones by
-the pivots.
+row is cleared of denominators and content once (exactnum.primitive),
+and each Bareiss step divides exactly by the previous pivot, so the
+loop takes no gcd.  det_rref computes det M at a triple
+(weil_model.determinant_at).
 PolyMatrix holds ring elements (polynomials, or any type with +, -, *,
 **0 and bool) and gets its determinant by cofactor expansion along the
 rows, memoized over the set of columns each trailing minor uses; that
@@ -17,7 +17,6 @@ at most 2^6 minors.
 
 from __future__ import annotations
 
-from math import gcd, prod
 from typing import Callable, Iterable, Sequence
 
 from .exactnum import Coefficient, normalize, primitive, quotient
@@ -86,16 +85,19 @@ class PolyMatrix(_MatrixBase):
 
 
 def _rref(matrix: ScalarMatrix) -> "tuple[list[list[int]], list[tuple[int, int]], Coefficient]":
-    """Fraction-free Gauss-Jordan over Z: reduced rows, pivot (row, col)
-    positions, and determinant factor.
+    """Fraction-free Gauss-Jordan over Z (Bareiss): reduced rows, pivot
+    (row, col) positions, and determinant factor.
 
-    Every pivot column is zero outside its pivot row; a pivot entry need
-    not be 1, so the reduced row echelon form is row r divided by its
-    pivot.  For a square matrix of full rank the factor is the
-    determinant.  Each row is cleared of denominators and content
-    (exactnum.primitive) at the start and after every combination; num
-    and den record the row multipliers, so that
-    det(matrix) * num == det(a) * den throughout.
+    Each row is cleared of denominators and content once
+    (exactnum.primitive); num and den record those multipliers and the
+    swap signs.  Each pivot step replaces every other row, those above
+    the pivot included, by (pivot * row - entry * top) // prev, prev the
+    previous pivot: by Sylvester's identity every entry is a minor of
+    the cleared matrix, so the division is exact and the loop takes no
+    gcd (Bareiss, Math. Comp. 22, 1968).  Every pivot column is zero
+    outside its pivot row and every pivot entry equals the last pivot,
+    so the reduced row echelon form is a divided by it; for a square
+    matrix of full rank the factor prev * den / num is the determinant.
     """
     a = []
     num = den = 1
@@ -106,6 +108,7 @@ def _rref(matrix: ScalarMatrix) -> "tuple[list[list[int]], list[tuple[int, int]]
         den *= content
     nrows, ncols = matrix.rows, matrix.cols
     pivots: list[tuple[int, int]] = []
+    prev = 1
     r = 0
     for c in range(ncols):
         pivot_row = next((i for i in range(r, nrows) if a[i][c]), None)
@@ -117,19 +120,15 @@ def _rref(matrix: ScalarMatrix) -> "tuple[list[list[int]], list[tuple[int, int]]
         top = a[r]
         pivot = top[c]
         for i in range(nrows):
-            entry = a[i][c]
-            if i != r and entry:
-                g = gcd(pivot, entry)
-                p, q = pivot // g, entry // g
-                a[i], _, content = primitive([p * x - q * y for x, y in zip(a[i], top)])
-                num *= p
-                den *= content
+            if i != r:
+                entry = a[i][c]
+                a[i] = [(pivot * x - entry * y) // prev for x, y in zip(a[i], top)]
+        prev = pivot
         pivots.append((r, c))
         r += 1
         if r == nrows:
             break
-    det = quotient(prod(a[i][j] for i, j in pivots) * den, num)
-    return a, pivots, det
+    return a, pivots, quotient(prev * den, num)
 
 
 def rank(matrix: ScalarMatrix) -> int:

@@ -29,9 +29,9 @@ Every check runs over Z or Q; this module certifies, in exact arithmetic:
     expresses the c*d combinations over the invariant quadratics and the
     7x6 relation matrix of the b-products;
   * the determinant certificate (det at the origin is 1, symbolic det is
-    nonzero), its evaluation at rational coefficient triples, and the
-    cross-check of an evaluated value against Gauss-Jordan elimination
-    of the evaluated 6x6 over Q;
+    nonzero), its value at rational coefficient triples by Gauss-Jordan
+    elimination of the evaluated 6x6 over Q, and the check of each such
+    value against the symbolic det evaluated there;
   * the degree computation in the Chow ring Z[h1..h4]/(h_i^2), a
     permanent, giving curve genus 13;
   * emptiness of the intersection with the diagonal for a given triple
@@ -674,10 +674,10 @@ def eliminate() -> EliminationResult:
 def elimination_determinant() -> Polynomial:
     """The symbolic determinant of the 6x6 elimination matrix.
 
-    Computed by memoized cofactor expansion.  The independent check is
-    cross_check_determinant, which shares no code with the expansion: it
-    evaluates the 6x6 at a triple and eliminates it over Q, and every
-    recorded value of det M passes through it.
+    Computed by memoized cofactor expansion.  It is the checking route
+    for values of det M: cross_check_determinant evaluates it at a triple
+    and compares with determinant_at, which eliminates the evaluated 6x6
+    over Q and shares no code with the expansion.
     """
     return det_expansion(eliminate().matrix)
 
@@ -690,8 +690,9 @@ def _evaluate_matrix(pm: PolyMatrix, point: Mapping[str, object]) -> ScalarMatri
 
 
 def determinant_at(triple: CoefficientTriple) -> Rational:
-    """Exact value of the elimination determinant at a rational triple."""
-    return Fraction(elimination_determinant().evaluate(triple.as_point()))
+    """det M at a rational triple by Gauss-Jordan over Q (det_rref) of the
+    evaluated 6x6 elimination matrix; the symbolic det M is not built."""
+    return Fraction(det_rref(_evaluate_matrix(eliminate().matrix, triple.as_point())))
 
 
 def quadric_relation_kernel_dim(triple: CoefficientTriple) -> int:
@@ -717,17 +718,16 @@ def vanishing_quadric(triple: CoefficientTriple) -> "tuple[Coefficient, ...]":
 def cross_check_determinant(triple: CoefficientTriple, value: Rational) -> None:
     """Confirm a value of det M at a triple by an independent route.
 
-    Evaluates the 6x6 elimination matrix at the triple and takes its
-    determinant over Q by Gauss-Jordan elimination, which shares no code
-    with the cofactor expansion behind elimination_determinant; raises
-    CheckFailed when the two disagree.
+    value comes from determinant_at, the Gauss-Jordan route over Q.  The
+    check evaluates elimination_determinant(), the symbolic det M of the
+    cofactor expansion, at the triple; the two share no determinant code.
+    Raises CheckFailed when they disagree, naming each value by its route.
     """
-    scalar = _evaluate_matrix(eliminate().matrix, triple.as_point())
-    numeric = det_rref(scalar)
-    if numeric != value:
+    symbolic = elimination_determinant().evaluate(triple.as_point())
+    if symbolic != value:
         raise CheckFailed(
             f"det M at {', '.join(map(str, triple.values()))}: "
-            f"symbolic value {value}, Gauss-Jordan value {numeric}")
+            f"symbolic value {symbolic}, Gauss-Jordan value {value}")
 
 
 # ---------------------------------------------------------------------------

@@ -181,8 +181,8 @@ def test_verify_certificate_detects_origin_swap(seed0_certificate):
 
 
 def test_cross_check_catches_wrong_symbolic_determinant(seed0_certificate, monkeypatch):
-    # a det M engine that is off by one, with a certificate that agrees with it:
-    # the field comparison passes, so only the Gauss-Jordan cross-check can object
+    # a Gauss-Jordan route that is off by one, with a certificate that agrees with
+    # it: the field comparison passes, so only the symbolic det M can object
     real = certify.determinant_at
     monkeypatch.setattr(certify, "determinant_at", lambda triple: real(triple) + 1)
     consistent = replace(seed0_certificate, witness_det_m=SEED0_DET + 1)

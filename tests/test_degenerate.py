@@ -284,6 +284,21 @@ def test_certify_fails_on_a_wrong_symbolic_determinant(capsys, monkeypatch):
                     "symbolic value 2, Gauss-Jordan value 1")
 
 
+def test_certify_and_recheck_fail_on_a_wrong_gauss_jordan_determinant(
+        seed0_document, tmp_path, capsys, monkeypatch):
+    # the elimination over Q behind determinant_at is off by one; only the
+    # symbolic det M, evaluated at the same triple, can object
+    real = wm.det_rref
+    monkeypatch.setattr(wm, "det_rref", lambda matrix: real(matrix) + 1)
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(seed0_document))
+    for argv, check in [(["certify", "--seed", "0"], "certify"),
+                        (["recheck", "--cert", str(path)], "recheck")]:
+        line = assert_one_fail_line(argv, check, capsys)
+        assert line == (f"Fail {check}: det M at 0, 0, 0, 0, 0, 0, 0, 0, 0: "
+                        "symbolic value 1, Gauss-Jordan value 2")
+
+
 def test_verify_genus_fails_on_a_wrong_intersection_number(capsys, monkeypatch):
     monkeypatch.setattr(wm, "chow_coefficient", lambda factors: 22)
     with pytest.raises(CheckFailed):

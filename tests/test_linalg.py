@@ -3,7 +3,8 @@
 The determinant oracle here is an independent naive Laplace expansion
 along the first row, written out in this file with no memoization, so
 agreement with det_expansion and det_rref is a genuine dual-route check.
-The elimination over Z behind rank, kernel_basis and det_rref is checked
+The Bareiss elimination over Z behind rank, kernel_basis and det_rref,
+whose every division by the previous pivot is exact, is checked
 against reference_rref, a field Gauss-Jordan over Q with unit pivots
 written out here; the same reference gives the kernels of sigma - 1,
 sigma + 1 and sigma^2 + 1 that the orbit sums and rotation planes of
@@ -20,6 +21,7 @@ from prymcert.exactnum import GaussianRational, normalize, quotient
 from prymcert.linalg import (
     PolyMatrix,
     ScalarMatrix,
+    _rref,
     det_expansion,
     det_rref,
     kernel_basis,
@@ -340,6 +342,24 @@ def test_real_shift_matrices_take_the_integer_path(eigenvalue):
     kernel = kernel_basis(shifted)
     assert kernel == reference_kernel([list(row) for row in shifted.entries])
     assert len(kernel) == (6 if eigenvalue == 1 else 4)
+
+
+def _assert_pivots_equal_the_last(m):
+    """The Bareiss invariant: each step divides by the previous pivot, so
+    after _rref every pivot entry equals the last pivot."""
+    a, pivots, _ = _rref(m)
+    if pivots:
+        last_row, last_col = pivots[-1]
+        assert {a[r][c] for r, c in pivots} == {a[last_row][last_col]}
+
+
+def test_pivot_entries_equal_the_last_pivot():
+    rng = random.Random(41)  # the corpus of test_integer_elimination_matches_field_reference
+    for index in range(240):
+        _assert_pivots_equal_the_last(
+            ScalarMatrix.from_rows(_random_rational_matrix(rng, index)))
+    for shift in [_rotation_shift(1), _rotation_shift(-1)] + [_real_form(e) for e in range(4)]:
+        _assert_pivots_equal_the_last(ScalarMatrix.from_rows(shift))
 
 
 # i^e as the integer pair (real part, imaginary part), e mod 4

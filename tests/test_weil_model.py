@@ -22,6 +22,9 @@ WITNESS_DET = Fraction(-5548257727)
 # det vanishes when A1*C1 = 1/4 with all other coordinates zero
 ZERO_DET_TRIPLE = wm.CoefficientTriple.from_rationals(
     [1, 0, 0, 0, 0, 0, Fraction(1, 4), 0, 0])
+# its curve meets the diagonal, so det M vanishes there too
+MEETS_DIAGONAL_TRIPLE = wm.CoefficientTriple.from_rationals(
+    [Fraction(1, 2), 0, 0, Fraction(1, 4), 0, 0, Fraction(1, 4), 0, 0])
 
 
 # -- group ------------------------------------------------------------------
@@ -488,6 +491,40 @@ def test_determinant_evaluation_commutes():
         scalar = det_rref(
             ScalarMatrix.from_rows(elim.matrix.map(lambda e: e.evaluate(point))))
         assert direct == scalar
+
+
+def test_determinant_at_builds_no_symbolic_det_m(monkeypatch, capsys):
+    from prymcert.cli import main
+
+    wm.eliminate()  # the one elimination; det M at a triple needs nothing more
+
+    def refuse(*_args):
+        raise AssertionError("symbolic det M built")
+
+    monkeypatch.setattr(wm, "det_expansion", refuse)
+    monkeypatch.setattr(wm, "elimination_determinant", refuse)
+    assert wm.determinant_at(WITNESS) == WITNESS_DET
+    assert main(["detm", "--at=" + ",".join(map(str, WITNESS.values()))]) == 0
+    assert capsys.readouterr().out == f"{WITNESS_DET}\n"
+
+
+def _det_m_triples():
+    rng = random.Random(47)
+    integer = [[rng.randint(-10, 10) for _ in range(9)] for _ in range(5)]
+    height = [[Fraction(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 10 ** 6))
+               for _ in range(9)] for _ in range(3)]
+    degenerate = [wm.CoefficientTriple.origin().values(), [1] + [0] * 8,
+                  ZERO_DET_TRIPLE.values(), MEETS_DIAGONAL_TRIPLE.values()]
+    return [wm.CoefficientTriple.from_rationals(v) for v in integer + height + degenerate]
+
+
+@pytest.mark.parametrize("triple", _det_m_triples(), ids=(
+    [f"integer-{k}" for k in range(5)] + [f"height-{k}" for k in range(3)]
+    + ["origin", "A1-one", "zero-det", "meets-diagonal"]))
+def test_determinant_at_agrees_with_the_symbolic_det_m(triple):
+    value = wm.determinant_at(triple)
+    assert type(value) is Fraction
+    assert value == wm.elimination_determinant().evaluate(triple.as_point())
 
 
 def test_determinant_cross_check():

@@ -1,11 +1,12 @@
 """Exact linear algebra over Q and over polynomial rings.
 
 ScalarMatrix holds rationals in the form exactnum.normalize gives (int,
-or Fraction with denominator > 1).  rank, right kernel bases and
-det_rref all come from one fraction-free Gauss-Jordan pass over Z: each
-row is cleared of denominators and content once (exactnum.primitive),
-and each Bareiss step divides exactly by the previous pivot, so the
-loop takes no gcd.  det_rref computes det M at a triple
+or Fraction with denominator > 1).  Right kernel bases and det_rref
+come from one fraction-free Gauss-Jordan pass over Z: each row is
+cleared of denominators and content once (exactnum.primitive), and each
+Bareiss step divides exactly by the previous pivot, so the loop takes no
+gcd.  kernel_basis gives the quadric kernel at a triple (its length is 7
+minus the rank of the relation matrix), and det_rref det M there
 (weil_model.determinant_at).
 PolyMatrix holds ring elements (polynomials, or any type with +, -, *,
 **0 and bool) and gets its determinant by cofactor expansion along the
@@ -131,11 +132,6 @@ def _rref(matrix: ScalarMatrix) -> "tuple[list[list[int]], list[tuple[int, int]]
     return a, pivots, quotient(prev * den, num)
 
 
-def rank(matrix: ScalarMatrix) -> int:
-    """Rank by exact Gaussian elimination."""
-    return len(_rref(matrix)[1])
-
-
 def kernel_basis(matrix: ScalarMatrix) -> "list[tuple[Coefficient, ...]]":
     """Basis of the right kernel; empty list iff the matrix is injective.
 
@@ -193,7 +189,7 @@ def det_expansion(matrix) -> object:
 
 
 def det_rref(matrix: ScalarMatrix) -> Coefficient:
-    """Determinant from the Gauss-Jordan pass behind rank and kernel_basis."""
+    """Determinant from the Gauss-Jordan pass behind kernel_basis."""
     if matrix.rows != matrix.cols:
         raise ValueError("determinant of a non-square matrix")
     _, pivots, scale = _rref(matrix)

@@ -16,9 +16,11 @@ Term order is graded lexicographic in registry index order (total degree
 first, then exponent tuples compared left to right, larger first), so
 iteration and the canonical text rendering are byte-stable across runs.
 
-evaluate_all evaluates many polynomials of one registry at one rational
-point with one power table per variable, shared by all of them;
-Polynomial.evaluate is its one-polynomial case.
+evaluate_all evaluates polynomials of one registry at one rational point
+with one power table per variable.  Polynomial.evaluate, its
+one-polynomial case, is its only caller in the package: it is the
+symbolic route of weil_model.cross_check_determinant, while the
+per-triple matrices are evaluated by weil_model's own integer plan.
 
 Polynomials are immutable after construction; all operations allocate
 fresh results and may be used freely across threads.

@@ -30,7 +30,7 @@ Every check runs over Z or Q; this module certifies, in exact arithmetic:
     7x6 relation matrix of the b-products;
   * the determinant certificate (det at the origin is 1, symbolic det is
     nonzero), its value at rational coefficient triples by Gauss-Jordan
-    elimination of the evaluated 6x6 over Q, and the check of each such
+    elimination of the evaluated 6x6 over Z, and the check of each such
     value against the symbolic det evaluated there;
   * the degree computation in the Chow ring Z[h1..h4]/(h_i^2), a
     permanent, giving curve genus 13;
@@ -38,17 +38,20 @@ Every check runs over Z or Q; this module certifies, in exact arithmetic:
     (the same common-zero routine on the restricted equations), which
     makes the rotation act freely on the curve.
 
-The per-triple checks work on dense data.  An evaluated matrix is built
-by multipoly.evaluate_all, whose one power table per variable serves
-all entries.  The diagonal checks store each restricted (2,2)-form as a
-3x3 integer grid (form_grid).  One routine, _misses_common_zero, decides
-both of them: it takes the t-resultants of given pairs of grids by the
-Bezout formula for two binary quadratics on coefficient lists in Z[s]
-(t_resultant) and certifies that the forms share no zero on P^1 x P^1
-when the resultants have no common projective root.
-verify_diagonal passes all 15 pairs of the restricted a1..a6, and
-fixed_point_free_check the pairs (1,2) and (1,3) of a triple's three
-equations.  No Sylvester matrix and no Polynomial is built per triple.
+The per-triple checks work on integer data.  The 6x6 and 7x6 matrices
+are evaluated at a triple by one pass over a sparse plan of their terms
+(_evaluate), giving L^top times the matrix in ints, L the lcm of the
+triple's denominators; quadric_relation_kernel_dim and vanishing_quadric
+share one kernel per triple (_quadric_kernel).  The diagonal checks
+store each restricted (2,2)-form as a 3x3 integer grid (form_grid).
+One routine, _misses_common_zero, decides both of them: it takes the
+t-resultants of given pairs of grids by the Bezout formula for two
+binary quadratics on coefficient lists in Z[s] (t_resultant) and
+certifies that the forms share no zero on P^1 x P^1 when the resultants
+have no common projective root.  verify_diagonal passes all 15 pairs of
+the restricted a1..a6, and fixed_point_free_check the pairs (1,2) and
+(1,3) of a triple's three equations.  No Sylvester matrix and no
+Polynomial is built per triple.
 
 The action convention is pinned by tests: sigma acts on polynomials by
 the substitution s->t, t->x, x->y, y->s, the unique convention for which
@@ -60,7 +63,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
-from math import gcd, prod
+from math import gcd, lcm, prod
 from typing import Iterable, Mapping, Sequence
 
 from . import CheckFailed
@@ -78,9 +81,8 @@ from .linalg import (
     det_expansion,
     det_rref,
     kernel_basis,
-    rank,
 )
-from .multipoly import Monomial, Polynomial, VariableRegistry, evaluate_all
+from .multipoly import Monomial, Polynomial, VariableRegistry
 
 CHART_VARS = ("s", "t", "x", "y")
 
@@ -676,40 +678,97 @@ def elimination_determinant() -> Polynomial:
 
     Computed by memoized cofactor expansion.  It is the checking route
     for values of det M: cross_check_determinant evaluates it at a triple
-    and compares with determinant_at, which eliminates the evaluated 6x6
-    over Q and shares no code with the expansion.
+    (Polynomial.evaluate) and compares with determinant_at, which
+    eliminates the integer rows of the 6x6 over Z and shares no
+    determinant or evaluation code with this route.
     """
     return det_expansion(eliminate().matrix)
 
 
-def _evaluate_matrix(pm: PolyMatrix, point: Mapping[str, object]) -> ScalarMatrix:
-    """The matrix evaluated at a point, all entries sharing one power table."""
-    values = evaluate_all([e for row in pm.entries for e in row], point)
-    return ScalarMatrix.from_rows(values[i:i + pm.cols]
-                                  for i in range(0, len(values), pm.cols))
+def _plan(pm: PolyMatrix) -> "tuple[int, tuple]":
+    """(top, rows): top is the largest total degree of an entry, and each
+    entry is a tuple of terms (c, top - deg, pairs), with c the coefficient,
+    deg the total degree of the term and pairs its (variable index,
+    exponent) pairs with a nonzero exponent."""
+    top = max(0, max(entry.total_degree() for row in pm.entries for entry in row))
+    return top, tuple(
+        tuple(tuple((c, top - sum(mono), tuple((k, e) for k, e in enumerate(mono) if e))
+                    for mono, c in entry.items())
+              for entry in row)
+        for row in pm.entries)
+
+
+@lru_cache(maxsize=1)
+def _evaluation_plans(elimination: EliminationResult) -> "tuple[tuple, tuple]":
+    """The plans (_plan) of an elimination's 6x6 and 7x6 matrices.
+
+    Built on the first per-triple check, not by eliminate(), and keyed on
+    the elimination object, so eliminate.cache_clear() retires them too.
+    """
+    return _plan(elimination.matrix), _plan(elimination.quadric_matrix)
+
+
+def _evaluate(plan: "tuple[int, tuple]",
+              triple: CoefficientTriple) -> "tuple[list[list[int]], int]":
+    """A planned matrix at a triple, scaled to integers: (rows, L^top).
+
+    L is the lcm of the denominators of the triple's entries v_k, so each
+    m_k = L * v_k is an integer, and a term c * prod v_k^e of total degree
+    deg contributes c * L^(top - deg) * prod m_k^e to L^top times its
+    entry.  The homogenizing factor goes by the total degree of the term,
+    not by the exponent of each variable.  rows is L^top times the matrix
+    at the triple, in one pass over ints.
+    """
+    top, rows = plan
+    values = triple.values()
+    scale = lcm(*[v.denominator for v in values])
+    m = [v.numerator * (scale // v.denominator) for v in values]
+    powers = [scale ** d for d in range(top + 1)]
+    return [[sum([c * powers[d] * prod([m[k] ** e for k, e in pairs])
+                  for c, d, pairs in entry])
+             for entry in row]
+            for row in rows], powers[top]
 
 
 def determinant_at(triple: CoefficientTriple) -> Rational:
-    """det M at a rational triple by Gauss-Jordan over Q (det_rref) of the
-    evaluated 6x6 elimination matrix; the symbolic det M is not built."""
-    return Fraction(det_rref(_evaluate_matrix(eliminate().matrix, triple.as_point())))
+    """det M at a rational triple: Gauss-Jordan over Z (det_rref) of the
+    integer rows N = L^top * M of the 6x6 elimination matrix (_evaluate),
+    so det M = det N / L^(6*top); the symbolic det M is not built."""
+    rows, factor = _evaluate(_evaluation_plans(eliminate())[0], triple)
+    return Fraction(det_rref(ScalarMatrix(rows)), factor ** len(rows))
+
+
+@lru_cache(maxsize=1)
+def _quadric_kernel(elimination: EliminationResult,
+                    triple: CoefficientTriple) -> "tuple[tuple[Coefficient, ...], ...]":
+    """Basis of the left kernel of the 7x6 relation matrix at a triple
+    (kernel_basis of the transposed integer rows; a positive scale moves
+    no kernel), shared by quadric_relation_kernel_dim and
+    vanishing_quadric.
+
+    Neither argument type defines __eq__, so the key is the identity of
+    both objects, no Fraction is hashed, and the cache holds the last pair
+    alive, so a later triple or elimination cannot reuse its id.
+    """
+    rows, _ = _evaluate(_evaluation_plans(elimination)[1], triple)
+    return tuple(kernel_basis(ScalarMatrix(zip(*rows))))
 
 
 def quadric_relation_kernel_dim(triple: CoefficientTriple) -> int:
-    """Dimension of the left kernel of the 7x6 relation matrix at a triple."""
-    scalar = _evaluate_matrix(eliminate().quadric_matrix, triple.as_point())
-    return scalar.rows - rank(scalar)
+    """Dimension of the left kernel of the 7x6 relation matrix at a
+    triple, 7 minus its rank: the length of the shared kernel basis."""
+    return len(_quadric_kernel(eliminate(), triple))
 
 
 def vanishing_quadric(triple: CoefficientTriple) -> "tuple[Coefficient, ...]":
     """The unique linear relation among the seven b-product rows at a triple.
 
-    Returns the 7-vector v with sum(v_k * row_k) = 0; KernelNotUnique
+    Returns the 7-vector v with sum(v_k * row_k) = 0, read from the kernel
+    basis that quadric_relation_kernel_dim also reads; KernelNotUnique
     (with the observed dimension) signals a degenerate triple, such as
     the origin where the kernel is 3-dimensional.
     """
-    scalar = _evaluate_matrix(eliminate().quadric_matrix, triple.as_point())
-    vectors = kernel_basis(scalar.transpose())
+    vectors = _quadric_kernel(eliminate(), triple)
     if len(vectors) != 1:
         raise KernelNotUnique(len(vectors))
     return vectors[0]
@@ -718,9 +777,10 @@ def vanishing_quadric(triple: CoefficientTriple) -> "tuple[Coefficient, ...]":
 def cross_check_determinant(triple: CoefficientTriple, value: Rational) -> None:
     """Confirm a value of det M at a triple by an independent route.
 
-    value comes from determinant_at, the Gauss-Jordan route over Q.  The
-    check evaluates elimination_determinant(), the symbolic det M of the
-    cofactor expansion, at the triple; the two share no determinant code.
+    value comes from determinant_at, the Gauss-Jordan route over Z on the
+    planned integer rows.  The check evaluates elimination_determinant(),
+    the symbolic det M of the cofactor expansion, at the triple by
+    Polynomial.evaluate; the two share no determinant or evaluation code.
     Raises CheckFailed when they disagree, naming each value by its route.
     """
     symbolic = elimination_determinant().evaluate(triple.as_point())

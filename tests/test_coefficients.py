@@ -50,12 +50,14 @@ def test_elimination_matrix_entries():
 @pytest.mark.parametrize("triple", TRIPLES, ids=["integer", "rational"])
 def test_evaluated_matrices(triple):
     result = wm.eliminate()
-    for matrix in (result.matrix, result.quadric_matrix):
-        scalar = wm._evaluate_matrix(matrix, triple.as_point())
-        assert (scalar.rows, scalar.cols) in {(6, 6), (7, 6)}
-        for i in range(scalar.rows):
-            for value in scalar.row(i):
-                assert_canonical(value)
+    matrices = (result.matrix, result.quadric_matrix)
+    for plan, matrix in zip(wm._evaluation_plans(result), matrices):
+        rows, factor = wm._evaluate(plan, triple)
+        assert [len(row) for row in rows] == [matrix.cols] * matrix.rows
+        assert type(factor) is int and factor > 0
+        for row in rows:
+            for value in row:
+                assert type(value) is int
     value = wm.determinant_at(triple)
     assert type(value) is Fraction and value != 0
     wm.cross_check_determinant(triple, value)

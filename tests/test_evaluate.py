@@ -1,17 +1,21 @@
-"""Polynomial.evaluate and evaluate_all against a term-by-term reference.
+"""Polynomial.evaluate, evaluate_all and the integer rows of the per-triple
+checks against a term-by-term reference.
 
-Both sum over a common denominator, evaluate_all with one power table
-shared by all the polynomials it is given; the reference below is the
-plain loop: every term's value is built from Fraction powers and added
-up.
+Polynomial.evaluate and evaluate_all sum over a common denominator,
+evaluate_all with one power table shared by all the polynomials it is
+given; weil_model._evaluate scales the elimination matrices to integer
+rows.  The reference below is the plain loop: every term's value is
+built from Fraction powers and added up.
 """
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
 from prymcert import weil_model as wm
+from prymcert.exactnum import quotient
 from prymcert.linalg import ScalarMatrix
 from prymcert.multipoly import (
     Polynomial,
@@ -130,8 +134,51 @@ def test_shared_table_matches_per_entry_evaluation(kind):
         assert len(shared) == len(entries)
         for value, entry in zip(shared, entries):
             assert_same(value, entry.evaluate(point))
-        assert wm._evaluate_matrix(matrix, point) == ScalarMatrix.from_rows(
-            matrix.map(lambda e: e.evaluate(point)))
+    # the integer rows of the per-triple checks, divided by their factor
+    triple = wm.CoefficientTriple.from_rationals(point.values())
+    matrices = (result.matrix, result.quadric_matrix)
+    for plan, matrix in zip(wm._evaluation_plans(result), matrices):
+        rows, factor = wm._evaluate(plan, triple)
+        assert ScalarMatrix.from_rows([quotient(v, factor) for v in row] for row in rows) == \
+            ScalarMatrix.from_rows(matrix.map(lambda e: e.evaluate(point)))
+
+
+# A zero of det M: a homogenizing factor taken per variable (n^e * d^(top-e)
+# with zero exponents skipped) instead of by total degree reads 9/4096 here.
+DET_ZERO = (1, 0, 0, 0, 0, 0, Fraction(1, 4), 0, 0)
+
+SCALED_TRIPLES = {
+    "integer": (6, 5, 6, -6, 6, -1, -2, -8, -2),
+    "height": tuple(COEFF_POINTS["rational"].values()),
+    "mixed": (Fraction(1, 2), Fraction(-2, 3), Fraction(3, 4), 5, Fraction(-7, 10),
+              Fraction(11, 12), 0, Fraction(13, 6), Fraction(-1, 9)),
+    "zero": (0,) * 9,
+    "det-zero": DET_ZERO,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SCALED_TRIPLES))
+def test_integer_rows_are_scaled_reference_values(kind):
+    # rows = L^top * (the matrix at the triple), L the lcm of the denominators
+    values = SCALED_TRIPLES[kind]
+    triple = wm.CoefficientTriple.from_rationals(values)
+    point = triple.as_point()
+    scale = lcm(*(Fraction(v).denominator for v in values))
+    result = wm.eliminate()
+    matrices = (result.matrix, result.quadric_matrix)
+    for plan, matrix in zip(wm._evaluation_plans(result), matrices):
+        top = max(e.total_degree() for row in matrix.entries for e in row)
+        rows, factor = wm._evaluate(plan, triple)
+        assert top == 2 and factor == scale ** top
+        assert len(rows) == matrix.rows
+        for row, entries in zip(rows, matrix.entries):
+            assert len(row) == matrix.cols
+            for value, entry in zip(row, entries):
+                assert type(value) is int
+                assert value == factor * reference_evaluate(entry, point)
+    det = wm.determinant_at(triple)
+    assert det == reference_evaluate(wm.elimination_determinant(), point)
+    assert (det == 0) == (values == DET_ZERO)
 
 
 def test_shared_table_across_degrees():

@@ -1,9 +1,9 @@
-"""Exact linear algebra: rank, kernels, and determinants.
+"""Exact linear algebra: kernels, ranks and determinants.
 
 The determinant oracle here is an independent naive Laplace expansion
 along the first row, written out in this file with no memoization, so
 agreement with det_expansion and det_rref is a genuine dual-route check.
-The Bareiss elimination over Z behind rank, kernel_basis and det_rref,
+The Bareiss elimination over Z behind kernel_basis and det_rref,
 whose every division by the previous pivot is exact, is checked
 against reference_rref, a field Gauss-Jordan over Q with unit pivots
 written out here; the same reference gives the kernels of sigma - 1,
@@ -25,7 +25,6 @@ from prymcert.linalg import (
     det_expansion,
     det_rref,
     kernel_basis,
-    rank,
 )
 from prymcert.multipoly import Polynomial, RegistryMismatch, VariableRegistry
 from substitution_reference import substitute
@@ -46,6 +45,11 @@ def naive_det(rows):
             term = -term
         total = term if total is None else total + term
     return total
+
+
+def rank(matrix):
+    """The number of pivots of the Bareiss pass behind kernel_basis and det_rref."""
+    return len(_rref(matrix)[1])
 
 
 def _rand_scalar(rng):

@@ -12,7 +12,7 @@ import pytest
 
 from prymcert import CheckFailed, linalg
 from prymcert.exactnum import GaussianRational, IMAG_UNIT
-from prymcert.linalg import ScalarMatrix, det_rref, kernel_basis, rank
+from prymcert.linalg import ScalarMatrix, det_rref, kernel_basis
 from prymcert.multipoly import Polynomial, VariableRegistry
 from prymcert import weil_model as wm
 from substitution_reference import substitute
@@ -114,7 +114,7 @@ def test_named_generators_span_v():
     assert len(g) == 16
     rows = [[poly.coefficient(m) for m in monos] for poly in g.values()]
     assert all(type(v) is int for row in rows for v in row)
-    assert rank(ScalarMatrix.from_rows(rows)) == 16
+    assert kernel_basis(ScalarMatrix.from_rows(rows)) == []  # 16x16 of full rank
 
 
 def test_rotate_matches_the_substitution():
@@ -137,8 +137,7 @@ def test_sigma_orbits():
 def test_eigen_decomposition_runs_no_elimination(monkeypatch):
     def refuse(*_args):
         raise AssertionError("eigenspaces need no elimination")
-    for name in ("rank", "kernel_basis"):
-        monkeypatch.setattr(wm, name, refuse)
+    monkeypatch.setattr(wm, "kernel_basis", refuse)
     monkeypatch.setattr(linalg, "_rref", refuse)
     assert wm.eigen_decomposition() == (6, 4, 3, 3)
 
@@ -462,7 +461,7 @@ def test_quadric_matrix_rank_at_origin():
     elim = wm.eliminate()
     origin = wm.CoefficientTriple.origin().as_point()
     scalar = ScalarMatrix.from_rows(elim.quadric_matrix.map(lambda e: e.evaluate(origin)))
-    assert rank(scalar) == 4
+    assert scalar.rows - len(kernel_basis(scalar.transpose())) == 4
 
 
 # -- determinant -----------------------------------------------------------------
@@ -575,6 +574,71 @@ def test_vanishing_quadric_is_left_kernel_vector():
         for k in range(7):
             total = total + relation[k] * rows[k][j]
         assert total == 0
+
+
+def _fresh_quadric_kernel(values):
+    """The left kernel of the 7x6 relation matrix at a triple, from eliminate()
+    evaluated by Polynomial.evaluate, outside the shared per-triple kernel."""
+    point = wm.CoefficientTriple.from_rationals(values).as_point()
+    rows = wm.eliminate().quadric_matrix.map(lambda e: e.evaluate(point))
+    return kernel_basis(ScalarMatrix.from_rows(rows).transpose())
+
+
+def _assert_fresh_quadric(triple, values):
+    kernel = _fresh_quadric_kernel(values)
+    assert wm.quadric_relation_kernel_dim(triple) == len(kernel)
+    if len(kernel) == 1:
+        assert wm.vanishing_quadric(triple) == kernel[0]
+    else:
+        with pytest.raises(wm.KernelNotUnique):
+            wm.vanishing_quadric(triple)
+
+
+QUADRIC_A = (6, 5, 6, -6, 6, -1, -2, -8, -2)
+QUADRIC_B = (Fraction(3, 7), -2, Fraction(5, 9), 1, 0, Fraction(-4, 3), 2, 7, Fraction(1, 2))
+
+
+def test_quadric_kernel_memo_does_not_cross_triples():
+    a, b = (wm.CoefficientTriple.from_rationals(v) for v in (QUADRIC_A, QUADRIC_B))
+    assert _fresh_quadric_kernel(QUADRIC_A) != _fresh_quadric_kernel(QUADRIC_B)
+    for triple, values in [(a, QUADRIC_A), (b, QUADRIC_B), (a, QUADRIC_A)]:
+        _assert_fresh_quadric(triple, values)
+    # a triple with equal values is another key; one dropped after its check
+    # cannot hand its id and its cached kernel to the next
+    for values in [QUADRIC_A, (0,) * 9, QUADRIC_B, QUADRIC_A, (1,) + (0,) * 8]:
+        _assert_fresh_quadric(wm.CoefficientTriple.from_rationals(values), values)
+
+
+@pytest.fixture
+def fresh_elimination():
+    """Empty the cached elimination and symbolic det M before and after a test."""
+    cached = (wm.eliminate, wm.elimination_determinant)
+    for function in cached:
+        function.cache_clear()
+    yield
+    for function in cached:
+        function.cache_clear()
+
+
+def test_quadric_kernel_and_plans_follow_a_new_elimination(monkeypatch, fresh_elimination):
+    # the same triple object after eliminate.cache_clear(): neither the plans
+    # nor the shared kernel may serve the old elimination's values
+    triple = wm.CoefficientTriple.from_rationals(QUADRIC_A)
+    before = wm.vanishing_quadric(triple)
+    det_before = wm.determinant_at(triple)
+    real = wm._relation_tables
+
+    def with_doubled_first_rows(a):
+        b_rows, cd_rows = real(a)
+        (b_name, b_rhs), *b_rest = b_rows
+        (cd_name, cd_rhs), *cd_rest = cd_rows
+        return [(b_name, 2 * b_rhs), *b_rest], [(cd_name, 2 * cd_rhs), *cd_rest]
+
+    monkeypatch.setattr(wm, "_relation_tables", with_doubled_first_rows)
+    wm.eliminate.cache_clear()
+    _assert_fresh_quadric(triple, QUADRIC_A)
+    assert wm.vanishing_quadric(triple) != before
+    assert wm.determinant_at(triple) == 2 * det_before
 
 
 # -- fixed points and genus ----------------------------------------------------------

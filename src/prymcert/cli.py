@@ -21,7 +21,7 @@ reading order.
 Subcommands (exit 0 iff the requested verdicts all pass, 1 on a failed
 check, 2 on usage errors):
 
-    verify identities | eigenspaces | diagonal | genus
+    verify identities | eigenspaces | diagonal | genus | freeness
     detm --symbolic | --at A1,A2,A3,B1,B2,B3,C1,C2,C3
     quadric --at ...      fpf --at ...
     certify --seed N [--max-attempts K] [--out FILE]
@@ -54,8 +54,9 @@ from . import CheckFailed
 from .exactnum import IMAG_UNIT, GaussianRational, rational_from_text
 from .multipoly import Polynomial, UnknownVariable, VariableRegistry
 
-# The certify and weil_model modules are imported by the subcommands that
-# use them, so that `parse` does not pay for loading them.
+# The certify, weil_model and freeness modules are imported by the
+# subcommands that use them, so that `parse` does not pay for loading them
+# and only `verify freeness` loads the freeness theorem's check.
 
 
 class ParseError(ValueError):
@@ -365,6 +366,16 @@ def _parse_triple(text: str):
 
 
 def _cmd_verify(args):
+    if args.check == "freeness":
+        from .freeness import check_freeness
+
+        checked = check_freeness()  # raises unless every fact of the theorem holds
+        return 0, {"freeness": checked}, [
+            *(f"Pass chart identity {chart}" for chart in checked["chart_identities"]),
+            f"Pass Jacobian rank {checked['jacobian_rank']}",
+            f"Pass det M on the recorded line: degree {checked['line_degree']}, "
+            f"irreducible modulo {checked['prime']}",
+            "Pass det M = 0 exactly where the curve meets the diagonal"]
     from .weil_model import (
         EIGENVALUE_LABELS,
         check_identities,
@@ -514,7 +525,8 @@ def build_parser() -> argparse.ArgumentParser:
     verify = with_json(sub.add_parser(
         "verify", help="run one family of universal checks"))
     verify.add_argument("check",
-                        choices=["identities", "eigenspaces", "diagonal", "genus"])
+                        choices=["identities", "eigenspaces", "diagonal", "genus",
+                                 "freeness"])
     verify.set_defaults(handler=_cmd_verify)
 
     detm = with_json(sub.add_parser(

@@ -1,13 +1,15 @@
 """Exact linear algebra over Q and over polynomial rings.
 
 ScalarMatrix holds rationals in the form exactnum.normalize gives (int,
-or Fraction with denominator > 1).  Right kernel bases and det_rref
-come from one fraction-free Gauss-Jordan pass over Z: each row is
-cleared of denominators and content once (exactnum.primitive), and each
-Bareiss step divides exactly by the previous pivot, so the loop takes no
-gcd.  kernel_basis gives the quadric kernel at a triple (its length is 7
-minus the rank of the relation matrix), and det_rref det M there
-(weil_model.determinant_at).
+or Fraction with denominator > 1); IntegerMatrix holds ints as given, such
+as the integer rows weil_model evaluates at a triple, and skips both the
+normalization and the clearing of denominators.  Right kernel bases and
+det_rref come from one fraction-free Gauss-Jordan pass over Z: each row
+is cleared of denominators (a ScalarMatrix's only) and of its content
+once, and each Bareiss step divides exactly by the previous pivot, so
+the loop takes no gcd.  kernel_basis gives the quadric kernel at a
+triple (its length is 7 minus the rank of the relation matrix), and
+det_rref det M there (weil_model.determinant_at).
 PolyMatrix holds ring elements (polynomials, or any type with +, -, *,
 **0 and bool) and gets its determinant by cofactor expansion along the
 rows, memoized over the set of columns each trailing minor uses; that
@@ -18,6 +20,7 @@ at most 2^6 minors.
 
 from __future__ import annotations
 
+from math import gcd
 from typing import Callable, Iterable, Sequence
 
 from .exactnum import Coefficient, normalize, primitive, quotient
@@ -70,6 +73,10 @@ class ScalarMatrix(_MatrixBase):
             [[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
 
+class IntegerMatrix(_MatrixBase):
+    """Dense matrix of ints, taken as given (no normalization and no copy)."""
+
+
 class PolyMatrix(_MatrixBase):
     """Dense matrix of ring elements sharing one registry."""
 
@@ -85,27 +92,36 @@ class PolyMatrix(_MatrixBase):
         return [[fn(e) for e in row] for row in self.entries]
 
 
-def _rref(matrix: ScalarMatrix) -> "tuple[list[list[int]], list[tuple[int, int]], Coefficient]":
+def _rref(matrix: "ScalarMatrix | IntegerMatrix"
+          ) -> "tuple[list[list[int]], list[tuple[int, int]], Coefficient]":
     """Fraction-free Gauss-Jordan over Z (Bareiss): reduced rows, pivot
     (row, col) positions, and determinant factor.
 
-    Each row is cleared of denominators and content once
-    (exactnum.primitive); num and den record those multipliers and the
-    swap signs.  Each pivot step replaces every other row, those above
-    the pivot included, by (pivot * row - entry * top) // prev, prev the
-    previous pivot: by Sylvester's identity every entry is a minor of
-    the cleared matrix, so the division is exact and the loop takes no
-    gcd (Bareiss, Math. Comp. 22, 1968).  Every pivot column is zero
-    outside its pivot row and every pivot entry equals the last pivot,
-    so the reduced row echelon form is a divided by it; for a square
-    matrix of full rank the factor prev * den / num is the determinant.
+    Each row is cleared of denominators and content once (of content
+    only for an IntegerMatrix, else exactnum.primitive); num and den
+    record those multipliers and the swap signs.  Dividing out the
+    content keeps the minors small: on evaluated integer rows it cuts
+    their largest bit length by about a factor of three.  Each pivot
+    step replaces every other row, those above the pivot included, by
+    (pivot * row - entry * top) // prev, prev the previous pivot: by
+    Sylvester's identity every entry is a minor of the cleared matrix,
+    so the division is exact and the loop takes no gcd (Bareiss, Math.
+    Comp. 22, 1968).  Every pivot column is zero outside its pivot row
+    and every pivot entry equals the last pivot, so the reduced row
+    echelon form is a divided by it; for a square matrix of full rank
+    the factor prev * den / num is the determinant.
     """
     a = []
     num = den = 1
+    integral = type(matrix) is IntegerMatrix
     for row in matrix.entries:
-        ints, scale, content = primitive(row)
+        if integral:
+            content = gcd(*row) or 1
+            ints = [x // content for x in row] if content != 1 else list(row)
+        else:
+            ints, scale, content = primitive(row)
+            num *= scale
         a.append(ints)
-        num *= scale
         den *= content
     nrows, ncols = matrix.rows, matrix.cols
     pivots: list[tuple[int, int]] = []
@@ -132,7 +148,7 @@ def _rref(matrix: ScalarMatrix) -> "tuple[list[list[int]], list[tuple[int, int]]
     return a, pivots, quotient(prev * den, num)
 
 
-def kernel_basis(matrix: ScalarMatrix) -> "list[tuple[Coefficient, ...]]":
+def kernel_basis(matrix: "ScalarMatrix | IntegerMatrix") -> "list[tuple[Coefficient, ...]]":
     """Basis of the right kernel; empty list iff the matrix is injective.
 
     Deterministic: one basis vector per free column in ascending column
@@ -188,7 +204,7 @@ def det_expansion(matrix) -> object:
     return minor(0, 0)
 
 
-def det_rref(matrix: ScalarMatrix) -> Coefficient:
+def det_rref(matrix: "ScalarMatrix | IntegerMatrix") -> Coefficient:
     """Determinant from the Gauss-Jordan pass behind kernel_basis."""
     if matrix.rows != matrix.cols:
         raise ValueError("determinant of a non-square matrix")

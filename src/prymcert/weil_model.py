@@ -34,24 +34,24 @@ Every check runs over Z or Q; this module certifies, in exact arithmetic:
     value against the symbolic det evaluated there;
   * the degree computation in the Chow ring Z[h1..h4]/(h_i^2), a
     permanent, giving curve genus 13;
-  * emptiness of the intersection with the diagonal for a given triple
-    (the same common-zero routine on the restricted equations), which
-    makes the rotation act freely on the curve.
+  * emptiness of the intersection with the diagonal for a given triple,
+    which makes the rotation act freely on the curve: the curve misses
+    the diagonal over C exactly when det M is nonzero at the triple, a
+    theorem that the freeness module checks once (prymcert verify
+    freeness), so fixed_point_free_check reads the triple's det M.
 
 The per-triple checks work on integer data.  The 6x6 and 7x6 matrices
 are evaluated at a triple by one pass over a sparse plan of their terms
 (_evaluate), giving L^top times the matrix in ints, L the lcm of the
-triple's denominators; quadric_relation_kernel_dim and vanishing_quadric
-share one kernel per triple (_quadric_kernel).  The diagonal checks
-store each restricted (2,2)-form as a 3x3 integer grid (form_grid).
-One routine, _misses_common_zero, decides both of them: it takes the
-t-resultants of given pairs of grids by the Bezout formula for two
-binary quadratics on coefficient lists in Z[s] (t_resultant) and
-certifies that the forms share no zero on P^1 x P^1 when the resultants
-have no common projective root.  verify_diagonal passes all 15 pairs of
-the restricted a1..a6, and fixed_point_free_check the pairs (1,2) and
-(1,3) of a triple's three equations.  No Sylvester matrix and no
-Polynomial is built per triple.
+triple's denominators, and eliminated as an IntegerMatrix.
+determinant_at and fixed_point_free_check share one det M value per
+triple (_determinant), and quadric_relation_kernel_dim and
+vanishing_quadric one kernel (_quadric_kernel).  The diagonal check
+stores each restricted (2,2)-form as a 3x3 integer grid (form_grid), and
+_misses_common_zero certifies that the restricted a1..a6 share no zero
+on P^1 x P^1: it takes the t-resultants of all 15 pairs of grids by the
+Bezout formula for two binary quadratics on coefficient lists in Z[s]
+(t_resultant) and finds that they have no common projective root.
 
 The action convention is pinned by tests: sigma acts on polynomials by
 the substitution s->t, t->x, x->y, y->s, the unique convention for which
@@ -76,6 +76,7 @@ from .exactnum import (
     quotient,
 )
 from .linalg import (
+    IntegerMatrix,
     PolyMatrix,
     ScalarMatrix,
     det_expansion,
@@ -91,7 +92,7 @@ COEFF_VARS = ("A1", "A2", "A3", "B1", "B2", "B3", "C1", "C2", "C3")
 INVARIANT_NAMES = ("a1", "a2", "a3", "a4", "a5", "a6")
 
 CERTIFIED_EMPTY = "CertifiedEmpty"
-INCONCLUSIVE = "Inconclusive"
+MEETS_DIAGONAL = "MeetsDiagonal"
 
 
 class KernelNotUnique(ValueError):
@@ -526,7 +527,8 @@ def _misses_common_zero(forms: "Sequence[list[list[int]]]",
     s is constant.  An identically zero resultant vanishes everywhere and
     so constrains nothing (_univariate_gcd(f, 0) is f).  An empty set of
     resultants certifies nothing, and neither does a single nonzero one (a
-    binary form of degree 8 always has a projective root).
+    binary form of degree 8 always has a projective root).  verify_diagonal
+    is its one caller.
     """
     resultants = [t_resultant(forms[i], forms[j]) for i, j in pairs]
     if all(_poly_degree(r) < 8 for r in resultants):
@@ -545,8 +547,9 @@ def verify_diagonal() -> "tuple[int | Fraction, ...]":
 
     The six restricted generators (diagonal_grids) have no common zero on
     P^1 x P^1 when the t-resultants of all 15 pairs certify it
-    (_misses_common_zero, the routine fixed_point_free_check also uses).
-    CheckFailed is raised when emptiness cannot be certified.
+    (_misses_common_zero).  The freeness theorem rests on this: no curve
+    meets the diagonal where a1, a2 and a3 all vanish.  CheckFailed is
+    raised when emptiness cannot be certified.
     """
     factors = diagonal_restriction_factors()
     grids = list(diagonal_grids().values())
@@ -730,12 +733,21 @@ def _evaluate(plan: "tuple[int, tuple]",
             for row in rows], powers[top]
 
 
+@lru_cache(maxsize=1)
+def _determinant(elimination: EliminationResult, triple: CoefficientTriple) -> Rational:
+    """det M at a triple, shared by determinant_at and fixed_point_free_check.
+
+    Keyed, like _quadric_kernel, on the identity of both objects.
+    """
+    rows, factor = _evaluate(_evaluation_plans(elimination)[0], triple)
+    return Fraction(det_rref(IntegerMatrix(rows)), factor ** len(rows))
+
+
 def determinant_at(triple: CoefficientTriple) -> Rational:
     """det M at a rational triple: Gauss-Jordan over Z (det_rref) of the
     integer rows N = L^top * M of the 6x6 elimination matrix (_evaluate),
     so det M = det N / L^(6*top); the symbolic det M is not built."""
-    rows, factor = _evaluate(_evaluation_plans(eliminate())[0], triple)
-    return Fraction(det_rref(ScalarMatrix(rows)), factor ** len(rows))
+    return _determinant(eliminate(), triple)
 
 
 @lru_cache(maxsize=1)
@@ -751,7 +763,7 @@ def _quadric_kernel(elimination: EliminationResult,
     alive, so a later triple or elimination cannot reuse its id.
     """
     rows, _ = _evaluate(_evaluation_plans(elimination)[1], triple)
-    return tuple(kernel_basis(ScalarMatrix(zip(*rows))))
+    return tuple(kernel_basis(IntegerMatrix(list(zip(*rows)))))
 
 
 def quadric_relation_kernel_dim(triple: CoefficientTriple) -> int:
@@ -794,37 +806,18 @@ def cross_check_determinant(triple: CoefficientTriple, value: Rational) -> None:
 # fixed points and genus
 # ---------------------------------------------------------------------------
 
-def _diagonal_equations(triple: CoefficientTriple) -> "list[list[list[int]]]":
-    """The three equations a_k - (linear in a1..a3) of a triple, restricted
-    to the diagonal, as 3x3 integer grids (form_grid).
-
-    Each equation is cleared of denominators (exactnum.primitive of 1, u1,
-    u2, u3, which scales by the lcm of the three denominators), so it is
-    an integer combination of diagonal_grids(); a nonzero scalar does not
-    move the zero set.
-    """
-    grids = diagonal_grids()
-    equations = []
-    for target, row in zip(("a4", "a5", "a6"), (triple.a, triple.b, triple.c)):
-        scale, u1, u2, u3 = primitive((1,) + row)[0]
-        equations.append([
-            [scale * a - u1 * b - u2 * c - u3 * d for a, b, c, d in zip(*rows)]
-            for rows in zip(grids[target], grids["a1"], grids["a2"], grids["a3"])])
-    return equations
-
-
 def fixed_point_free_check(triple: CoefficientTriple) -> str:
-    """Certify that the curve cut out by a triple misses the diagonal.
+    """Whether the curve cut out by a triple misses the diagonal x = s, y = t.
 
-    Restricts the three equations to x = s, y = t as (2,2)-forms on 3x3
-    integer grids (_diagonal_equations) and returns CertifiedEmpty when
-    the t-resultants of the pairs (1,2) and (1,3) certify that they have
-    no common zero (_misses_common_zero, shared with verify_diagonal).
-    Returns Inconclusive otherwise: an identically zero restriction or
-    resultant, or a shared root, including at infinity.
+    CertifiedEmpty when det M is nonzero at the triple, MeetsDiagonal when
+    it is zero: the curve meets the diagonal over C exactly when det M
+    vanishes, by the theorem that freeness.check_freeness proves (the
+    three chart identities, the Jacobian rank and the irreducibility of
+    det M).  The value is the one determinant_at gives for the same
+    triple object (_determinant), so a witness check after determinant_at
+    does no second elimination.
     """
-    forms = _diagonal_equations(triple)
-    return CERTIFIED_EMPTY if _misses_common_zero(forms, ((0, 1), (0, 2))) else INCONCLUSIVE
+    return CERTIFIED_EMPTY if _determinant(eliminate(), triple) else MEETS_DIAGONAL
 
 
 def chow_coefficient(factors: "Sequence[Sequence[int]]") -> int:

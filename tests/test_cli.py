@@ -204,7 +204,7 @@ def test_fpf(capsys):
     assert main(["fpf", "--at", "6,5,6,-6,6,-1,-2,-8,-2"]) == 0
     assert capsys.readouterr().out.strip() == "CertifiedEmpty"
     assert main(["fpf", "--at", "1/2,0,0,1/4,0,0,1/4,0,0"]) == 1
-    assert capsys.readouterr().out.strip() == "Inconclusive"
+    assert capsys.readouterr().out.strip() == "MeetsDiagonal"
 
 
 def test_certify_and_recheck(tmp_path, capsys):
@@ -288,8 +288,8 @@ def test_recheck_rejects_tampered_field(seed0_document, tmp_path, capsys, field)
 @pytest.mark.parametrize("triple, det, dimension, verdict, field", [
     ("0,0,0,0,0,0,0,0,0", "1", 3, "CertifiedEmpty", "witness_quadric_kernel_dim"),
     ("1,0,0,0,0,0,0,0,0", "1", 2, "CertifiedEmpty", "witness_quadric_kernel_dim"),
-    ("1,0,0,0,0,0,1/4,0,0", "0", 2, "Inconclusive", "witness_det_m"),
-    ("1/2,0,0,1/4,0,0,1/4,0,0", "0", 3, "Inconclusive", "witness_det_m"),
+    ("1,0,0,0,0,0,1/4,0,0", "0", 2, "MeetsDiagonal", "witness_det_m"),
+    ("1/2,0,0,1/4,0,0,1/4,0,0", "0", 3, "MeetsDiagonal", "witness_det_m"),
 ], ids=["origin", "a1-one", "zero-det", "meets-diagonal"])
 def test_recheck_rejects_degenerate_witness(seed0_document, tmp_path, capsys,
                                             triple, det, dimension, verdict, field):
@@ -662,6 +662,18 @@ def test_parse_loads_neither_certify_nor_weil_model():
     assert not loaded & {"prymcert.certify", "prymcert.weil_model", "dataclasses"}
 
 
+def test_certify_and_recheck_load_no_freeness_check(tmp_path):
+    # the theorem is checked by verify freeness alone, never per certificate
+    path = tmp_path / "cert.json"
+    loaded = _fresh_modules(
+        "import contextlib, io\nfrom prymcert import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert cli.main(['certify', '--seed', '0', '--out', {str(path)!r}]) == 0\n"
+        f"    assert cli.main(['recheck', '--cert', {str(path)!r}]) == 0")
+    assert {"prymcert.certify", "prymcert.weil_model"} <= loaded
+    assert "prymcert.freeness" not in loaded
+
+
 def test_usage_exit_codes(capsys):
     for argv in (["nonsense"],
                  ["detm"],  # one of --symbolic / --at is required
@@ -734,7 +746,7 @@ def test_every_option_that_takes_a_value_is_joined(capsys):
 # The fpf, quadric and detm --at outputs (plain and --json) with their exit
 # codes, at the seed-0 witness, the four degenerate triples of the benchmark
 # oracle and 20 seeded height-10^6 rational triples; the hash pins the bytes.
-PINNED_WITNESS_OUTPUTS = "a18d6ba45e0a3f91feddeca73329e452d0750b49aa031bfd476e9f7b3cb91950"
+PINNED_WITNESS_OUTPUTS = "897390b3cf5f86b3a66531d53fcf2298086f70f3b54332793163fa1596f3d760"
 
 
 def _height_triples(count, seed):
@@ -755,7 +767,7 @@ def test_witness_subcommand_outputs_are_pinned(capsys):
                 out = capsys.readouterr().out
                 transcript.append(f"{command} {triple} {' '.join(extra)} -> {code}\n{out}")
     text = "".join(transcript)
-    assert text.count("CertifiedEmpty") == 46 and text.count("Inconclusive") == 4
+    assert text.count("CertifiedEmpty") == 46 and text.count("MeetsDiagonal") == 4
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED_WITNESS_OUTPUTS
 
 

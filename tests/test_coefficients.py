@@ -9,6 +9,7 @@ import pytest
 from prymcert import weil_model as wm
 from prymcert.exactnum import GaussianRational, IMAG_UNIT, normalize, primitive, quotient
 from prymcert.multipoly import Polynomial, VariableRegistry
+from resultant_oracle import diagonal_equations, resultant_verdict
 
 INTEGER_TRIPLE = wm.CoefficientTriple.from_rationals((6, 5, 6, -6, 6, -1, -2, -8, -2))
 RATIONAL_TRIPLE = wm.CoefficientTriple.from_rationals(
@@ -88,7 +89,7 @@ def test_resultant_coefficient_lists(triple, monkeypatch):
 
     monkeypatch.setattr(wm, "t_resultant", resultant_spy)
     monkeypatch.setattr(wm, "_univariate_gcd", gcd_spy)
-    assert wm.fixed_point_free_check(triple) == wm.CERTIFIED_EMPTY
+    assert resultant_verdict(triple) == wm.CERTIFIED_EMPTY
     assert len(resultants) == 2 and len(seen) == 2
     for coeffs in resultants + seen:
         assert len(coeffs) == 9
@@ -116,7 +117,7 @@ HEIGHT_TRIPLES = [wm.CoefficientTriple.from_rationals(
     + ["origin", "a1-one", "zero-det", "meets-diagonal"])
 def test_restricted_equations_have_integer_coefficients(triple):
     gens = wm.generators()
-    grids = wm._diagonal_equations(triple)
+    grids = diagonal_equations(triple)
     assert len(grids) == 3
     for target, row, grid in zip(("a4", "a5", "a6"), (triple.a, triple.b, triple.c), grids):
         scale, u1, u2, u3 = primitive((1,) + row)[0]

@@ -128,6 +128,28 @@ def test_curve_meeting_the_diagonal_is_not_certified_empty(name):
     assert wm.fixed_point_free_check(triple) != wm.CERTIFIED_EMPTY
 
 
+def test_built_meetings_meet_the_diagonal():
+    # a random rational point (s0, t0) and random u1, u2 in each row, with u3
+    # solved so that the row's restricted equation vanishes there
+    rng = random.Random(11)
+    forms = wm.diagonal_generators()
+    built = list(MEETING.values())
+    while len(built) < len(MEETING) + 30:
+        value = at_point(*(Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(2)))
+        a1, a2, a3 = (value(forms[name]) for name in ("a1", "a2", "a3"))
+        if not a3:
+            continue
+        rows = []
+        for target, _ in ROWS:
+            u1, u2 = (Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(2))
+            rows += [u1, u2, (value(forms[target]) - u1 * a1 - u2 * a2) / a3]
+        triple = wm.CoefficientTriple.from_rationals(rows)
+        assert all(value(equation) == 0 for equation in restricted_equations(triple))
+        built.append(triple)
+    for triple in built:
+        assert wm.fixed_point_free_check(triple) == wm.MEETS_DIAGONAL, text(triple)
+
+
 @pytest.mark.parametrize("name", sorted(DET_ZERO))
 def test_det_m_vanishes_at_built_zeros(name):
     triple = DET_ZERO[name]
@@ -164,9 +186,9 @@ def test_recheck_rejects_built_witness(seed0_document, tmp_path, capsys, triple)
 def test_fpf_exit_code_on_a_built_meeting(name, capsys):
     at = f"--at={text(MEETING[name])}"
     assert main(["fpf", at, "--json"]) == 1
-    assert json.loads(capsys.readouterr().out) == {"fixed_point_free": wm.INCONCLUSIVE}
+    assert json.loads(capsys.readouterr().out) == {"fixed_point_free": wm.MEETS_DIAGONAL}
     assert main(["fpf", at]) == 1
-    assert capsys.readouterr().out == "Inconclusive\n"
+    assert capsys.readouterr().out == "MeetsDiagonal\n"
 
 
 def test_detm_exit_code_on_a_built_zero(capsys):
@@ -229,6 +251,7 @@ def test_verify_diagonal_finds_a_built_base_point(name, seed0_document, tmp_path
     with pytest.raises(CheckFailed, match="the pairwise resultants do not exclude"):
         wm.verify_diagonal()
     for argv, check in [(["verify", "diagonal"], "diagonal"),
+                        (["verify", "freeness"], "freeness"),
                         (["certify", "--seed", "0"], "certify"),
                         (["certify", "--seed", "0", "--out", str(out)], "certify"),
                         (["certify", "--seed", "0", "--out", str(new)], "certify"),

@@ -1,10 +1,12 @@
-"""The integer gcd and the freeness verdict against Euclid over Q.
+"""The integer gcd, the resultant oracle, and the freeness verdict.
 
-_univariate_gcd runs a primitive remainder sequence over Z, and
-fixed_point_free_check works on equations scaled to integer grids with
-the Bezout form of the t-resultant.  The references below are the plain
+_univariate_gcd runs a primitive remainder sequence over Z, and the
+resultant oracle (resultant_oracle, the route fixed_point_free_check took
+before it read det M) works on equations scaled to integer grids with the
+Bezout form of the t-resultant.  The references below are the plain
 routes: Euclid's algorithm over Fraction, and the Sylvester determinant
-of the unscaled equations (sylvester_reference).
+of the unscaled equations (sylvester_reference).  Where the oracle
+certifies a curve empty, fixed_point_free_check must too.
 """
 
 import random
@@ -13,6 +15,7 @@ from fractions import Fraction
 import pytest
 
 from prymcert import weil_model as wm
+from resultant_oracle import INCONCLUSIVE, diagonal_equations, resultant_verdict
 from sylvester_reference import sylvester_resultant
 from test_degenerate import BASE_POINT_GRIDS, DET_ZERO, MEETING
 
@@ -124,17 +127,17 @@ def reference_equations(triple):
 def reference_verdict(triple):
     restricted = [wm.restrict_to_diagonal(eq) for eq in reference_equations(triple)]
     if any(not g for g in restricted):
-        return wm.INCONCLUSIVE
+        return INCONCLUSIVE
     lists = []
     for other in restricted[1:]:
         r = sylvester_resultant(restricted[0], other, "t", 2, 2)
         if not r:
-            return wm.INCONCLUSIVE
+            return INCONCLUSIVE
         lists.append([r.coefficient((j, 0)) for j in range(9)])
     if all(degree(c) < 8 for c in lists):
-        return wm.INCONCLUSIVE  # common root at infinity
+        return INCONCLUSIVE  # common root at infinity
     if degree(reference_gcd(*lists)) != 0:
-        return wm.INCONCLUSIVE
+        return INCONCLUSIVE
     return wm.CERTIFIED_EMPTY
 
 
@@ -147,19 +150,37 @@ def rational_triples(count, seed):
 
 def test_freeness_verdict_at_rational_triples():
     for triple in rational_triples(50, seed=9):
-        assert wm.fixed_point_free_check(triple) == reference_verdict(triple)
+        assert resultant_verdict(triple) == reference_verdict(triple)
 
 
 @pytest.mark.parametrize("values", [ORIGIN, A1_ONE, ZERO_DET, MEETS_DIAGONAL],
                          ids=["origin", "a1-one", "zero-det", "meets-diagonal"])
 def test_freeness_verdict_at_degenerate_triples(values):
     triple = wm.CoefficientTriple.from_rationals(values)
-    assert wm.fixed_point_free_check(triple) == reference_verdict(triple)
+    assert resultant_verdict(triple) == reference_verdict(triple)
 
 
-def test_triple_meeting_the_diagonal_stays_inconclusive():
+CONSISTENCY = {**{f"height-{k}": triple for k, triple in enumerate(rational_triples(50, seed=9))},
+               **{name: wm.CoefficientTriple.from_rationals(values) for name, values in (
+                   ("origin", ORIGIN), ("a1-one", A1_ONE), ("zero-det", ZERO_DET),
+                   ("meets-diagonal", MEETS_DIAGONAL))}}
+
+
+def test_oracle_certified_empty_implies_certified_empty():
+    certified = 0
+    for name, triple in CONSISTENCY.items():
+        verdict = wm.fixed_point_free_check(triple)
+        assert verdict == (wm.CERTIFIED_EMPTY if wm.determinant_at(triple)
+                           else wm.MEETS_DIAGONAL), name
+        if resultant_verdict(triple) == wm.CERTIFIED_EMPTY:
+            certified += 1
+            assert verdict == wm.CERTIFIED_EMPTY, name
+    assert certified == 52  # all but the zero of det M and the meeting triple
+
+
+def test_triple_meeting_the_diagonal_meets_the_diagonal():
     triple = wm.CoefficientTriple.from_rationals(MEETS_DIAGONAL)
-    assert wm.fixed_point_free_check(triple) == wm.INCONCLUSIVE
+    assert wm.fixed_point_free_check(triple) == wm.MEETS_DIAGONAL
 
 
 def test_diagonal_resultants_match_the_oracle():
@@ -182,7 +203,7 @@ BUILT = {**{f"meets-{name}": triple for name, triple in MEETING.items()},
 @pytest.mark.parametrize("name", sorted(BUILT))
 def test_common_zero_routine_at_built_triples(name):
     triple = BUILT[name]
-    certified = wm._misses_common_zero(wm._diagonal_equations(triple), ((0, 1), (0, 2)))
+    certified = wm._misses_common_zero(diagonal_equations(triple), ((0, 1), (0, 2)))
     assert certified == (reference_verdict(triple) == wm.CERTIFIED_EMPTY)
 
 

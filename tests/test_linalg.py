@@ -13,12 +13,14 @@ weil_model.sigma_orbits must span.
 
 import random
 from fractions import Fraction
+from math import lcm, prod
 
 import pytest
 
 from prymcert import weil_model as wm
 from prymcert.exactnum import GaussianRational, normalize, quotient
 from prymcert.linalg import (
+    IntegerMatrix,
     PolyMatrix,
     ScalarMatrix,
     _rref,
@@ -304,11 +306,16 @@ def test_integer_elimination_matches_field_reference():
         for vector in kernel:
             for value in vector:
                 assert_rational_canonical(value)
+        # the same rows cleared of denominators, taken as given
+        scales = [lcm(*[Fraction(v).denominator for v in row]) for row in entries]
+        integral = IntegerMatrix([[int(v * k) for v in row] for row, k in zip(entries, scales)])
+        assert kernel_basis(integral) == kernel
         if m.rows == m.cols:
             det = det_rref(m)
             assert det == (normalize(scale) if len(pivots) == m.rows else 0)
             assert det == naive_det(entries)
             assert_rational_canonical(det)
+            assert det_rref(integral) == det * prod(scales)
     assert min(seen.values()) >= 10, seen
 
 

@@ -15,6 +15,7 @@ from prymcert.exactnum import GaussianRational, IMAG_UNIT
 from prymcert.linalg import ScalarMatrix, det_rref, kernel_basis
 from prymcert.multipoly import Polynomial, VariableRegistry
 from prymcert import weil_model as wm
+from resultant_oracle import diagonal_equations
 from substitution_reference import substitute
 
 WITNESS = wm.CoefficientTriple.from_rationals([6, 5, 6, -6, 6, -1, -2, -8, -2])
@@ -395,6 +396,41 @@ def test_diagonal_checks_restrict_nothing_per_call(monkeypatch):
     assert wm.fixed_point_free_check(WITNESS) == wm.CERTIFIED_EMPTY
 
 
+def test_freeness_takes_no_resultant_per_triple(monkeypatch):
+    # the verdict reads det M; the resultants serve verify_diagonal only
+    def refuse(*_args):
+        raise AssertionError("resultant route taken per triple")
+
+    for name in ("t_resultant", "_univariate_gcd", "_misses_common_zero"):
+        monkeypatch.setattr(wm, name, refuse)
+    for triple, verdict in ((WITNESS, wm.CERTIFIED_EMPTY),
+                            (wm.CoefficientTriple.origin(), wm.CERTIFIED_EMPTY),
+                            (ZERO_DET_TRIPLE, wm.MEETS_DIAGONAL),
+                            (MEETS_DIAGONAL_TRIPLE, wm.MEETS_DIAGONAL)):
+        assert wm.fixed_point_free_check(triple) == verdict
+
+
+def test_freeness_reads_the_determinant_of_the_same_triple(monkeypatch):
+    # determinant_at and fixed_point_free_check share one elimination per
+    # triple object, and a new triple object is eliminated afresh
+    calls = []
+    real = wm.det_rref
+
+    def counted(matrix):
+        calls.append(matrix)
+        return real(matrix)
+
+    monkeypatch.setattr(wm, "det_rref", counted)
+    triple = wm.CoefficientTriple.from_rationals(WITNESS.values())
+    assert wm.determinant_at(triple) == WITNESS_DET
+    assert wm.fixed_point_free_check(triple) == wm.CERTIFIED_EMPTY
+    assert len(calls) == 1
+    again = wm.CoefficientTriple.from_rationals(ZERO_DET_TRIPLE.values())
+    assert wm.fixed_point_free_check(again) == wm.MEETS_DIAGONAL
+    assert wm.determinant_at(again) == 0 and len(calls) == 2
+    assert wm.determinant_at(triple) == WITNESS_DET and len(calls) == 3
+
+
 def test_diagonal_base_point_free():
     # raises CheckFailed unless the restricted system is base-point-free
     assert wm.verify_diagonal() == wm.diagonal_restriction_factors()
@@ -647,7 +683,7 @@ def test_fixed_point_free_at_witness():
     assert wm.fixed_point_free_check(WITNESS) == wm.CERTIFIED_EMPTY
 
 
-def test_fixed_point_free_inconclusive_when_diagonal_is_hit():
+def test_fixed_point_free_meets_diagonal_when_diagonal_is_hit():
     # this triple makes all three restricted equations vanish at s = t = 1,
     # so no certificate of emptiness may be produced
     hitting = wm.CoefficientTriple.from_rationals(
@@ -660,8 +696,8 @@ def test_fixed_point_free_inconclusive_when_diagonal_is_hit():
     point = {"s": 1, "t": 1}
     assert all(eq.evaluate(point) == 0 for eq in equations)
     # at s = t = 1 a grid's value is the sum of its entries
-    assert all(sum(map(sum, grid)) == 0 for grid in wm._diagonal_equations(hitting))
-    assert wm.fixed_point_free_check(hitting) == wm.INCONCLUSIVE
+    assert all(sum(map(sum, grid)) == 0 for grid in diagonal_equations(hitting))
+    assert wm.fixed_point_free_check(hitting) == wm.MEETS_DIAGONAL
 
 
 def test_genus():

@@ -12,13 +12,16 @@ forms:
 i occurs only in input parsed by the cli module's expression grammar and
 in its rendering; every verdict is computed over Q.  So GaussianRational
 has the ring operations that grammar uses (+, unary -, *) and no
-division or power.  Its arithmetic returns the real form as soon as an
-imaginary part cancels, and it compares and hashes equal to the real
-number it denotes, so two equal values have one representation and
-polynomial equality reduces to coefficient comparison.  GaussianRational
-is a plain class with __slots__ whose instances are immutable (Frozen,
-the base shared with the value types of weil_model).  No floating point
-is used anywhere: `int / int` is a float in Python, so every coefficient
+division or power.  Polynomial products do not use its *: multipoly
+multiplies over the Gaussian integers and builds each Q(i) result with
+`_gaussian`; * stays for perfbench's qi_mul_ns probe.  Arithmetic
+returns the real form as soon as an imaginary part cancels, and a
+GaussianRational compares and hashes equal to the real number it
+denotes, so two equal values have one representation and polynomial
+equality reduces to coefficient comparison.  GaussianRational is a
+plain class with __slots__ whose instances are immutable (Frozen, the
+base shared with the value types of weil_model).  No floating point is
+used anywhere: `int / int` is a float in Python, so every coefficient
 division goes through `quotient`.
 
 Textual form: a rational renders as ``p`` or ``p/q``; a Gaussian rational

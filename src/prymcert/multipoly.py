@@ -3,10 +3,9 @@
 A polynomial is a map from monomials to nonzero exact coefficients, each
 in the one form exactnum.normalize gives: an int, a Fraction with
 denominator > 1, or a Gaussian rational with a nonzero imaginary part.
-So a polynomial in which i does not occur is computed in plain integer
-and Fraction arithmetic.  i occurs only in what the cli module's
-expression grammar parses, which is built by +, -, * and ** and
-rendered, never evaluated.
+So no Gaussian rational is built for a polynomial in which i does not
+occur.  i occurs only in what the cli module's expression grammar
+parses, which is built by +, -, * and ** and rendered, never evaluated.
 
 Monomials are exponent tuples indexed by a VariableRegistry, which fixes
 the variable order once and for all; two registries are interchangeable
@@ -16,11 +15,10 @@ Term order is graded lexicographic in registry index order (total degree
 first, then exponent tuples compared left to right, larger first), so
 iteration and the canonical text rendering are byte-stable across runs.
 
-evaluate_all evaluates polynomials of one registry at one rational point
-with one power table per variable.  Polynomial.evaluate, its
-one-polynomial case, is its only caller in the package: it is the
-symbolic route of weil_model.cross_check_determinant, while the
-per-triple matrices are evaluated by weil_model's own integer plan.
+A product of int polynomials is summed in ints; any other product over
+the Gaussian integers: each operand is scaled once by the lcm D of all
+its denominators, and each sum of term pairs is divided once by D1 * D2
+(Geddes, Czapor and Labahn, Algorithms for Computer Algebra, ch. 2).
 
 Polynomials are immutable after construction; all operations allocate
 fresh results and may be used freely across threads.
@@ -29,10 +27,11 @@ fresh results and may be used freely across threads.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
 from operator import add, getitem
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
+from . import exactnum
 from .exactnum import Coefficient, GaussianRational, normalize, quotient
 
 Monomial = tuple  # exponent tuple, one non-negative int per registry variable
@@ -223,15 +222,33 @@ class Polynomial:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        out: dict[Monomial, Coefficient] = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
-                mono = tuple(map(add, m1, m2))
-                prior = out.get(mono)
-                out[mono] = c1 * c2 if prior is None else prior + c1 * c2
         result = Polynomial.__new__(Polynomial)
         result.registry = self.registry
-        result._terms = {m: normalize(c) for m, c in out.items() if c}
+        left, right = self._terms, other._terms
+        if {*map(type, left.values()), *map(type, right.values())} <= {int}:
+            out: dict[Monomial, int] = {}
+            for m1, c1 in left.items():
+                for m2, c2 in right.items():
+                    mono = tuple(map(add, m1, m2))
+                    prior = out.get(mono)
+                    out[mono] = c1 * c2 if prior is None else prior + c1 * c2
+            result._terms = {m: c for m, c in out.items() if c}
+            return result
+        (scale1, left), (scale2, right) = map(_gaussian_integers, (left, right))
+        sums: dict[Monomial, list[int]] = {}  # real and imaginary part
+        for m1, a, b in left:
+            for m2, c, d in right:
+                mono = tuple(map(add, m1, m2))
+                prior = sums.get(mono)
+                if prior is None:
+                    sums[mono] = [a * c - b * d, a * d + b * c]
+                else:
+                    prior[0] += a * c - b * d
+                    prior[1] += a * d + b * c
+        scale = scale1 * scale2
+        gaussian = exactnum._gaussian  # read per call, so a patch of exactnum applies
+        result._terms = {m: gaussian(Fraction(re, scale), Fraction(im, scale)) if im
+                         else quotient(re, scale) for m, (re, im) in sums.items() if re or im}
         return result
 
     __rmul__ = __mul__
@@ -261,9 +278,27 @@ class Polynomial:
     # -- evaluation -------------------------------------------------------------
 
     def evaluate(self, point: "Mapping[str, object]") -> Coefficient:
-        """Exact value at a point binding every variable that occurs
-        (the one-polynomial case of evaluate_all)."""
-        return evaluate_all((self,), point)[0]
+        """Exact value at a rational point binding every variable that occurs,
+        summed over a common denominator: for a value n/d, one table holds
+        n^e * d^(top-e) for e = 0..top, top being the variable's largest degree,
+        and the sum is divided once by the product of the d^top."""
+        registry = self.registry
+        values = {registry.index(name): normalize(value) for name, value in point.items()}
+        tables: list[list[int]] = []  # per variable, n^e * d^(top-e)
+        denominator = 1
+        for k, top in enumerate(map(max, zip(registry.unit_monomial(), *self._terms))):
+            if not top:
+                tables.append([1])
+                continue
+            if k not in values:
+                raise UnboundVariable(f"variable {registry.names[k]!r} is not bound")
+            n, d = values[k].numerator, values[k].denominator
+            tables.append([n ** e * d ** (top - e) for e in range(top + 1)])
+            denominator *= d ** top
+        total = 0
+        for mono, coeff in self._terms.items():
+            total = total + prod(map(getitem, tables, mono), start=coeff)
+        return quotient(total, denominator)
 
     # -- rendering ---------------------------------------------------------------
 
@@ -283,53 +318,14 @@ class Polynomial:
         return f"Polynomial({self.render()})"
 
 
-def evaluate_all(polys: "Sequence[Polynomial]",
-                 point: "Mapping[str, object]") -> "list[Coefficient]":
-    """Exact values of polynomials of one registry at one point.
-
-    The point must bind every variable that occurs in some polynomial.
-    Rational points are evaluated over a common denominator: each bound
-    value is split once as n/d with d a positive integer, one table per
-    variable holds n^e * d^(top-e) for e = 0..top, top being the largest
-    degree of that variable in any of the polynomials, and each sum of
-    coefficient times table entries is divided once by the product of the
-    d^top.  So integer polynomials at a rational point are summed in plain
-    ints.
-    """
-    if not polys:
-        return []
-    registry = polys[0].registry
-    for poly in polys:
-        if poly.registry is not registry:
-            polys[0]._check_registry(poly)
-    monos = [m for poly in polys for m in poly._terms]
-    tops = map(max, registry.unit_monomial(), *monos) if monos else registry.unit_monomial()
-    values: dict[int, Coefficient] = {}
-    for name, value in point.items():
-        values[registry.index(name)] = normalize(value)
-    tables: list[list[Coefficient]] = []  # per variable, n^e * d^(top-e)
-    denominator = 1
-    for k, top in enumerate(tops):
-        if not top:
-            tables.append([1])
-            continue
-        if k not in values:
-            raise UnboundVariable(f"variable {registry.names[k]!r} is not bound")
-        n, d = values[k].numerator, values[k].denominator
-        table = [1]
-        for _ in range(top):
-            table.append(table[-1] * n)
-        if d != 1:
-            table = [v * d ** (top - e) for e, v in enumerate(table)]
-            denominator *= d ** top
-        tables.append(table)
-    results = []
-    for poly in polys:
-        total = 0
-        for mono, coeff in poly._terms.items():
-            total = total + prod(map(getitem, tables, mono), start=coeff)
-        results.append(quotient(total, denominator))
-    return results
+def _gaussian_integers(terms: "Mapping[Monomial, Coefficient]") -> "tuple[int, list]":
+    """(D, [(mono, re, im)]): the terms times D with int parts, D the lcm of
+    every denominator, real and imaginary parts alike."""
+    parts = [(m, c.re, c.im) if type(c) is GaussianRational else (m, c, 0)
+             for m, c in terms.items()]
+    scale = lcm(*[p.denominator for _, re, im in parts for p in (re, im)])
+    return scale, [(m, re.numerator * (scale // re.denominator),
+                    im.numerator * (scale // im.denominator)) for m, re, im in parts]
 
 
 def _render_monomial(registry: VariableRegistry, mono: Monomial) -> str:

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from prymcert import CheckFailed, certify, exactnum
+from prymcert import CheckFailed, certify, cli, exactnum
 from prymcert import weil_model as wm
 from prymcert.certify import (
     Certificate,
@@ -89,13 +89,14 @@ def test_pipeline_determinism(seed0_certificate):
     assert again.to_json() == seed0_certificate.to_json()
 
 
+def _refuse_gaussian(re, im):
+    raise AssertionError(f"Q(i) arithmetic in the certified chain: {re} + {im}*i")
+
+
 def test_the_certified_chain_runs_over_q(monkeypatch):
     # every result in Q(i) is built by exactnum._gaussian
-    def refuse(re, im):
-        raise AssertionError(f"Q(i) arithmetic in the certified chain: {re} + {im}*i")
-
     cached = [f for f in vars(wm).values() if hasattr(f, "cache_clear")]
-    monkeypatch.setattr(exactnum, "_gaussian", refuse)
+    monkeypatch.setattr(exactnum, "_gaussian", _refuse_gaussian)
     for function in cached:
         function.cache_clear()
     try:
@@ -107,6 +108,16 @@ def test_the_certified_chain_runs_over_q(monkeypatch):
             function.cache_clear()
     assert hashlib.sha256(text.encode()).hexdigest() == \
         "ee3194657db4b8d7145c00cd39832165e8b252614241b9e3e4501afe54210abf"
+
+
+def test_the_q_i_patch_reaches_the_polynomial_product(monkeypatch, capsys):
+    # the patch above covers Polynomial.__mul__: this product keeps a nonzero
+    # imaginary part, while the sum of the same factors needs no Q(i) arithmetic
+    monkeypatch.setattr(exactnum, "_gaussian", _refuse_gaussian)
+    assert cli.main(["parse", "--expr", "(s + i)+(t + s)"]) == 0
+    assert capsys.readouterr().out == "2*s + t + i\n"
+    with pytest.raises(AssertionError, match=r"Q\(i\) arithmetic"):
+        cli.main(["parse", "--expr", "(s + i)*(t + 1)"])
 
 
 def test_pipeline_skips_a_triple_that_fails_a_condition(monkeypatch):

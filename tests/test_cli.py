@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -545,6 +546,34 @@ def test_product_size_bound_admits_ordinary_products():
         bound = product_size_bound(p, q)
         assert bound <= MAX_POWER_SIZE, (left, right)
         assert _size(p * q) <= bound, (left, right)
+
+
+def test_parse_product_with_many_distinct_denominators(capsys, monkeypatch):
+    # the product scales each factor by the lcm of 120 distinct 4-digit primes
+    primes = [p for p in range(1000, 10000) if all(p % d for d in range(2, 100))]
+
+    def factors(count):
+        return (" + ".join(f"1/{p}*s^{k}" for k, p in enumerate(primes[:count])),
+                " + ".join(f"1/{p}*t^{k}" for k, p in enumerate(primes[count:2 * count])))
+
+    left, right = factors(120)
+    begin = time.perf_counter()
+    poly = parse_poly(f"({left})*({right})", REG)
+    elapsed = time.perf_counter() - begin
+    assert poly.term_count() == 120 * 120
+    assert poly.coefficient((7, 5, 0, 0)) == Fraction(1, primes[7] * primes[125])
+    assert elapsed < 2.0, elapsed
+    # 200 terms each are refused by the size bound before any product is computed
+    real_mul = Polynomial.__mul__
+
+    def guarded(self, other):
+        if isinstance(other, Polynomial) and min(self.term_count(), other.term_count()) > 1:
+            raise AssertionError("the product was computed")
+        return real_mul(self, other)
+
+    monkeypatch.setattr(Polynomial, "__mul__", guarded)
+    assert main(["parse", "--expr", "({})*({})".format(*factors(200))]) == 2
+    assert capsys.readouterr().err.startswith("error: product too large to compute")
 
 
 def test_parse_output_too_long_to_render(capsys):

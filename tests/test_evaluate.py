@@ -1,11 +1,10 @@
-"""Polynomial.evaluate, evaluate_all and the integer rows of the per-triple
-checks against a term-by-term reference.
+"""Polynomial.evaluate and the integer rows of the per-triple checks
+against a term-by-term reference.
 
-Polynomial.evaluate and evaluate_all sum over a common denominator,
-evaluate_all with one power table shared by all the polynomials it is
-given; weil_model._evaluate scales the elimination matrices to integer
-rows.  The reference below is the plain loop: every term's value is
-built from Fraction powers and added up.
+Polynomial.evaluate sums over a common denominator, with one power table
+per variable shared by all the terms; weil_model._evaluate scales the
+elimination matrices to integer rows.  The reference below is the plain
+loop: every term's value is built from Fraction powers and added up.
 """
 
 import random
@@ -17,13 +16,7 @@ import pytest
 from prymcert import weil_model as wm
 from prymcert.exactnum import quotient
 from prymcert.linalg import ScalarMatrix
-from prymcert.multipoly import (
-    Polynomial,
-    RegistryMismatch,
-    UnboundVariable,
-    VariableRegistry,
-    evaluate_all,
-)
+from prymcert.multipoly import Polynomial, UnboundVariable, UnknownVariable, VariableRegistry
 
 HEIGHT = 10 ** 6
 
@@ -126,15 +119,10 @@ def test_unbound_variable():
 
 @pytest.mark.parametrize("kind", ["integer", "rational", "zeros"])
 def test_shared_table_matches_per_entry_evaluation(kind):
+    # the integer rows of the per-triple checks, from one shared plan,
+    # divided by their factor
     result = wm.eliminate()
     point = COEFF_POINTS[kind]
-    for matrix in (result.matrix, result.quadric_matrix):
-        entries = [e for row in matrix.entries for e in row]
-        shared = evaluate_all(entries, point)
-        assert len(shared) == len(entries)
-        for value, entry in zip(shared, entries):
-            assert_same(value, entry.evaluate(point))
-    # the integer rows of the per-triple checks, divided by their factor
     triple = wm.CoefficientTriple.from_rationals(point.values())
     matrices = (result.matrix, result.quadric_matrix)
     for plan, matrix in zip(wm._evaluation_plans(result), matrices):
@@ -182,23 +170,21 @@ def test_integer_rows_are_scaled_reference_values(kind):
 
 
 def test_shared_table_across_degrees():
-    # the tables are shared across polynomials of different degrees in each variable
+    # one table per variable serves terms of different degrees in it
     reg = VariableRegistry(("s", "t", "x"))
     s, t, x = Polynomial.variables(reg, "s", "t", "x")
-    polys = [3 * s ** 3 * t + Fraction(1, 2) * x, s - Fraction(2, 7) * t ** 2,
+    parts = [3 * s ** 3 * t + Fraction(1, 2) * x, s - Fraction(2, 7) * t ** 2,
              Polynomial.zero(reg), Polynomial.constant(reg, 7), x ** 3]
     for point in points(reg.names, seed=8).values():
-        shared = evaluate_all(polys, point)
-        for value, poly in zip(shared, polys):
-            assert_same(value, reference_evaluate(poly, point))
+        for poly in [*parts, sum(parts, Polynomial.zero(reg))]:
+            assert_same(poly.evaluate(point), reference_evaluate(poly, point))
 
 
 def test_shared_table_rejects_bad_input():
     reg = VariableRegistry(("s", "t"))
     s, t = Polynomial.variables(reg, "s", "t")
-    assert evaluate_all([], {"s": 1}) == []
-    assert_same(evaluate_all([Polynomial.zero(reg)], {})[0], 0)
+    assert_same(Polynomial.zero(reg).evaluate({}), 0)
     with pytest.raises(UnboundVariable):
-        evaluate_all([s, t], {"s": 1})
-    with pytest.raises(RegistryMismatch):
-        evaluate_all([s, Polynomial.variable(VariableRegistry(("s",)), "s")], {"s": 1})
+        (s + t).evaluate({"s": 1})
+    with pytest.raises(UnknownVariable):
+        s.evaluate({"s": 1, "x": 2})

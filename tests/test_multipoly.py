@@ -3,12 +3,14 @@ the t-resultant of (2,2)-forms on integer grids (weil_model.t_resultant,
 weil_model.form_grid) against the Sylvester oracle in sylvester_reference."""
 
 import random
+import sys
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from prymcert import weil_model as wm
-from prymcert.exactnum import GaussianRational, IMAG_UNIT
+from prymcert.exactnum import GaussianRational, IMAG_UNIT, normalize
 from prymcert.multipoly import (
     Polynomial,
     RegistryMismatch,
@@ -16,6 +18,7 @@ from prymcert.multipoly import (
     UnknownVariable,
     VariableRegistry,
 )
+from product_reference import reference_product
 from sylvester_reference import (
     grid_form,
     naive_det,
@@ -76,14 +79,103 @@ def test_basic_arithmetic():
 
 
 def test_ring_axioms_randomized():
+    # all-Q(i) operands, then every mix of Q(i) and Q operands
     rng = random.Random(7)
-    for _ in range(120):
-        p, q, r = (_random_poly(rng) for _ in range(3))
+    for flags in [(True,) * 3] * 120 + list(product((True, False), repeat=3)) * 10:
+        p, q, r = (_random_poly(rng, gaussian=flag) for flag in flags)
         assert p + q == q + p
         assert p * q == q * p
         assert (p + q) + r == p + (q + r)
         assert (p * q) * r == p * (q * r)
         assert p * (q + r) == p * q + p * r
+
+
+def _random_coefficient(rng, kind):
+    if kind == "int":
+        return rng.randint(-9, 9)
+    if kind == "fraction":
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+    return GaussianRational(Fraction(rng.randint(-9, 9), rng.randint(1, 12)),
+                            Fraction(rng.randint(-9, 9), rng.randint(1, 12)))
+
+
+def _random_mixed_poly(rng, kinds, max_terms=6):
+    """Up to max_terms terms, each coefficient of a kind drawn from kinds."""
+    return Polynomial(REG, {tuple(rng.randint(0, 2) for _ in REG.names):
+                            _random_coefficient(rng, rng.choice(kinds))
+                            for _ in range(rng.randint(0, max_terms))})
+
+
+def _assert_same_product(p, q):
+    got, expected = p * q, reference_product(p, q)
+    assert got.render() == expected.render()
+    assert got.items() == expected.items()
+    for mono, coeff in got.items():
+        assert normalize(coeff) is coeff, coeff  # the one form, as it was built
+        assert type(coeff) is type(expected.coefficient(mono)), (mono, coeff)
+
+
+def test_product_matches_the_per_pair_reference():
+    rng = random.Random(29)
+    kinds = [("int",), ("fraction",), ("gaussian",), ("int", "fraction"),
+             ("int", "gaussian"), ("fraction", "gaussian"), ("int", "fraction", "gaussian")]
+    for left, right in product(kinds, repeat=2):
+        for _ in range(12):
+            _assert_same_product(_random_mixed_poly(rng, left), _random_mixed_poly(rng, right))
+    for scalar in (0, 3, Fraction(-2, 9), GaussianRational(Fraction(1, 4), Fraction(-5, 6))):
+        p = _random_mixed_poly(rng, ("int", "fraction", "gaussian"))
+        assert scalar * p == p * scalar == reference_product(p, Polynomial.constant(REG, scalar))
+
+
+def test_product_imaginary_parts_cancel():
+    s, t, x, y = _vars()
+    i = IMAG_UNIT
+
+    def gaussian(re, im):
+        return Polynomial.constant(REG, GaussianRational(Fraction(re), Fraction(im)))
+
+    cases = [
+        # (s + i)(s - i) = s^2 + 1: the s coefficient cancels to 0, the constant is the int 1
+        (s + i, s - i, {(2, 0, 0, 0): 1, (0, 0, 0, 0): 1}),
+        # (s + i/2)(s - i/3): the constant is the real 1/6, the s coefficient i/6
+        (s + Fraction(1, 2) * i, s - Fraction(1, 3) * i,
+         {(2, 0, 0, 0): 1, (1, 0, 0, 0): GaussianRational(0, Fraction(1, 6)),
+          (0, 0, 0, 0): Fraction(1, 6)}),
+        # (1 + i)/2 * t times (1 - i)/3 is the real t/3
+        (gaussian(Fraction(1, 2), Fraction(1, 2)) * t, gaussian(Fraction(1, 3), Fraction(-1, 3)),
+         {(0, 1, 0, 0): Fraction(1, 3)}),
+        # 2(1 + i)/3 times 3(1 - i)/4 is the int 1
+        (gaussian(Fraction(2, 3), Fraction(2, 3)), gaussian(Fraction(3, 4), Fraction(-3, 4)),
+         {(0, 0, 0, 0): 1}),
+        # (x + iy)(x - iy) = x^2 + y^2: the xy coefficient cancels to 0
+        (x + i * y, x - i * y, {(0, 0, 2, 0): 1, (0, 0, 0, 2): 1}),
+    ]
+    for left, right, expected in cases:
+        _assert_same_product(left, right)
+        got = left * right
+        assert got.items() == expected.items()
+        assert all(type(c) is type(expected[m]) for m, c in got.items()), got
+
+
+def test_int_product_builds_no_fraction():
+    rng = random.Random(31)
+    p, q = (_random_mixed_poly(rng, ("int",), max_terms=12) for _ in range(2))
+    called = set()
+
+    def profile(frame, event, _arg):
+        if event == "call":
+            called.add((frame.f_code.co_filename, frame.f_code.co_name))
+
+    sys.setprofile(profile)
+    try:
+        result = p * q
+    finally:
+        sys.setprofile(None)
+    # no Fraction is built, and the Gaussian-integer scaling does not run
+    assert not [f for f, _ in called if f.endswith("fractions.py")], called
+    assert "_gaussian_integers" not in {name for _, name in called}, called
+    assert result == reference_product(p, q)
+    assert all(type(c) is int for _, c in result.items())
 
 
 def test_registry_mismatch():

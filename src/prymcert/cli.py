@@ -10,7 +10,9 @@ Grammar (LL(1), whitespace-insensitive):
     identifier := [A-Za-z_][A-Za-z0-9_]*    # ASCII only
 
 "i" is the imaginary unit, never a variable.  The parser lowers as it
-reads: each rule returns its Polynomial, and no syntax tree is built.
+reads: each rule returns the GaussianForm (Gaussian integers over one
+scale) of the text it read, a sum is taken once over all its terms, the
+Polynomial is built once, at the end, and no syntax tree is built.
 Parse errors carry the line and column and the tokens that would have
 been accepted.  Hostile input is bounded: parentheses nest at most
 MAX_NESTING deep, and a power or a product whose size bound exceeds
@@ -46,13 +48,12 @@ import argparse
 import json
 import re
 import sys
-from fractions import Fraction
 from math import comb
 from typing import Sequence
 
 from . import CheckFailed
-from .exactnum import IMAG_UNIT, GaussianRational, rational_from_text
-from .multipoly import Polynomial, UnknownVariable, VariableRegistry
+from .exactnum import GaussianRational, rational_from_text
+from .multipoly import GaussianForm, Polynomial, UnknownVariable, VariableRegistry
 
 # The certify, weil_model and freeness modules are imported by the
 # subcommands that use them, so that `parse` does not pay for loading them
@@ -141,27 +142,36 @@ MAX_POWER_SIZE = 1 << 20
 """Largest size (terms times coefficient bits) a power or a product may be bounded by."""
 
 
-def _profile(poly: Polynomial) -> "tuple[int, int, int]":
-    """Term count, total degree and largest coefficient bits (numerator plus
-    denominator bits, of both parts in Q(i)), in one pass over the terms
-    (no sort)."""
-    if not poly:
-        return 0, -1, 0
-    monos, coeffs = zip(*poly.items())
-    bits = max([c.re.numerator.bit_length() + c.re.denominator.bit_length()
+def _exact_bits(form: GaussianForm) -> int:
+    """Largest coefficient bits of the form's Polynomial: numerator plus
+    denominator bits, of both parts in Q(i)."""
+    return max([c.re.numerator.bit_length() + c.re.denominator.bit_length()
                 + c.im.numerator.bit_length() + c.im.denominator.bit_length()
                 if type(c) is GaussianRational
                 else c.numerator.bit_length() + c.denominator.bit_length()
-                for c in coeffs])
-    return len(monos), max(map(sum, monos)), bits
+                for _, c in form.polynomial().items()], default=0)
 
 
-def _variables_used(*polys: Polynomial) -> int:
-    """How many registry variables occur in some term of the polynomials."""
-    return sum(map(any, zip(*[m for poly in polys for m, _ in poly.items()])))
+def _screen_bits(form: GaussianForm) -> int:
+    """An upper bound on _exact_bits read from the ints: the bits of re and im
+    plus twice the bits of the scale, which each reduced denominator divides."""
+    return max([re.bit_length() + im.bit_length() for re, im in form.terms.values()],
+               default=0) + 2 * form.scale.bit_length()
 
 
-def power_size_bound(base: Polynomial, exponent: int) -> int:
+def _decided(size, *forms: GaussianForm) -> int:
+    """size(*bits) on the screen bits of the forms, or on their exact bits when
+    that exceeds MAX_POWER_SIZE, so each refusal is the one the exact bits give."""
+    bound = size(*map(_screen_bits, forms))
+    return bound if bound <= MAX_POWER_SIZE else size(*map(_exact_bits, forms))
+
+
+def _variables_used(*forms: GaussianForm) -> int:
+    """How many registry variables occur in some term of the forms."""
+    return sum(map(any, zip(*[m for form in forms for m in form.terms])))
+
+
+def power_size_bound(base: GaussianForm, exponent: int) -> int:
     """An upper bound on the size of base ** exponent, found without computing it.
 
     Size is terms times coefficient bits.  A monomial's power has one
@@ -171,15 +181,15 @@ def power_size_bound(base: Polynomial, exponent: int) -> int:
     exponent coefficients of base (t terms), so its bit length is at most
     exponent * (largest coefficient bits + bits of t).
     """
-    terms, degree, bits = _profile(base)
+    terms = len(base.terms)
     count = 1
     if terms > 1:
         used = _variables_used(base)
-        count = comb(used + degree * exponent, used)
-    return count * exponent * (bits + terms.bit_length())
+        count = comb(used + max(map(sum, base.terms)) * exponent, used)
+    return _decided(lambda bits: count * exponent * (bits + terms.bit_length()), base)
 
 
-def product_size_bound(left: Polynomial, right: Polynomial) -> int:
+def product_size_bound(left: GaussianForm, right: GaussianForm) -> int:
     """An upper bound on the size of left * right, found in time linear in their terms.
 
     Size is terms times coefficient bits.  With t1 and t2 terms, the
@@ -189,18 +199,18 @@ def product_size_bound(left: Polynomial, right: Polynomial) -> int:
     coefficient of each factor, so its bit length is at most the sum of
     their largest coefficient bits plus the bits of min(t1, t2).
     """
-    t1, d1, b1 = _profile(left)
-    t2, d2, b2 = _profile(right)
+    t1, t2 = len(left.terms), len(right.terms)
     count = t1 * t2
     if count > 1:
         used = _variables_used(left, right)
-        count = min(count, comb(used + d1 + d2, used))
-    return count * (b1 + b2 + min(t1, t2).bit_length())
+        degree = max(map(sum, left.terms)) + max(map(sum, right.terms))
+        count = min(count, comb(used + degree, used))
+    return _decided(lambda b1, b2: count * (b1 + b2 + min(t1, t2).bit_length()), left, right)
 
 
 class _Parser:
     """Recursive descent that lowers as it reads: each rule returns the
-    Polynomial, in the registry, of the text it consumed."""
+    GaussianForm, in the registry, of the text it consumed."""
 
     def __init__(self, tokens: "list[_Token]", registry: VariableRegistry):
         self.tokens = tokens
@@ -223,7 +233,7 @@ class _Parser:
                              tok.line, tok.column, expected)
         return self.advance()
 
-    def parse(self) -> Polynomial:
+    def parse(self) -> GaussianForm:
         value = self.expr()
         tok = self.peek()
         if tok.kind != "end":
@@ -231,16 +241,13 @@ class _Parser:
                              tok.line, tok.column, ("+", "-", "end of input"))
         return value
 
-    def expr(self) -> Polynomial:
-        value = self.term()
+    def expr(self) -> GaussianForm:
+        signed = [(1, self.term())]
         while self.peek().kind in ("+", "-"):
-            if self.advance().kind == "+":
-                value = value + self.term()
-            else:
-                value = value - self.term()
-        return value
+            signed.append((1 if self.advance().kind == "+" else -1, self.term()))
+        return signed[0][1] if len(signed) == 1 else GaussianForm.sum(signed)
 
-    def term(self) -> Polynomial:
+    def term(self) -> GaussianForm:
         value = self.factor()
         while self.peek().kind == "*":
             self.advance()
@@ -251,7 +258,7 @@ class _Parser:
             value = value * right
         return value
 
-    def factor(self) -> Polynomial:
+    def factor(self) -> GaussianForm:
         value = self.base()
         if self.peek().kind == "^":
             self.advance()
@@ -262,7 +269,7 @@ class _Parser:
             value = value ** exponent
         return value
 
-    def base(self) -> Polynomial:
+    def base(self) -> GaussianForm:
         tok = self.peek()
         if tok.kind == "(":
             if self.depth == MAX_NESTING:
@@ -284,23 +291,26 @@ class _Parser:
         if tok.kind == "ident":
             self.advance()
             if tok.text == "i":
-                return Polynomial.constant(self.registry, IMAG_UNIT)
+                return GaussianForm(self.registry, {self.registry.unit_monomial(): (0, 1)})
             if tok.text not in self.registry:
                 raise UnknownVariable(
                     f"unknown variable {tok.text!r} at line {tok.line}, "
                     f"column {tok.column} (registry {self.registry.names})")
-            return Polynomial.variable(self.registry, tok.text)
+            mono = tuple(int(name == tok.text) for name in self.registry.names)
+            return GaussianForm(self.registry, {mono: (1, 0)})
         raise ParseError(f"unexpected {tok.kind} {tok.text!r}", tok.line, tok.column,
                          ("rational", "i", "identifier", "("))
 
-    def _rational(self, numerator: int) -> Polynomial:
+    def _rational(self, numerator: int) -> GaussianForm:
+        denominator = 1
         if self.peek().kind == "/":
             self.advance()
             tok = self.expect("int", ("unsigned integer denominator",))
-            if int(tok.text) == 0:
+            denominator = int(tok.text)
+            if denominator == 0:
                 raise ParseError("zero denominator", tok.line, tok.column)
-            return Polynomial.constant(self.registry, Fraction(numerator, int(tok.text)))
-        return Polynomial.constant(self.registry, Fraction(numerator))
+        return GaussianForm(self.registry, {self.registry.unit_monomial(): (numerator, 0)},
+                            denominator)
 
 
 def parse_poly(text: str, registry: VariableRegistry) -> Polynomial:
@@ -316,7 +326,7 @@ def parse_poly(text: str, registry: VariableRegistry) -> Polynomial:
     for name in registry.names:
         if not _IDENTIFIER.fullmatch(name):
             raise ValueError(f"variable name {name!r} is not an ASCII identifier")
-    return _Parser(_tokenize(text), registry).parse()
+    return _Parser(_tokenize(text), registry).parse().polynomial()
 
 
 # ---------------------------------------------------------------------------

@@ -10,11 +10,11 @@ forms:
   * a `GaussianRational` (a pair of Fractions re + im*i) with im != 0.
 
 i occurs only in input parsed by the cli module's expression grammar and
-in its rendering; every verdict is computed over Q.  So GaussianRational
-has the ring operations that grammar uses (+, unary -, *) and no
-division or power.  Polynomial products do not use its *: multipoly
-multiplies over the Gaussian integers and builds each Q(i) result with
-`_gaussian`; * stays for perfbench's qi_mul_ns probe.  Arithmetic
+in its rendering; every verdict is computed over Q.  The grammar lowers
+over the Gaussian integers (multipoly.GaussianForm), which builds each
+Q(i) value it returns once, with `_gaussian`.  GaussianRational keeps +,
+unary - and * (for Polynomial sums, and for perfbench's qi_mul_ns
+probe) and has no division or power.  Arithmetic
 returns the real form as soon as an imaginary part cancels, and a
 GaussianRational compares and hashes equal to the real number it
 denotes, so two equal values have one representation and polynomial

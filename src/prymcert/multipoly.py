@@ -5,7 +5,8 @@ in the one form exactnum.normalize gives: an int, a Fraction with
 denominator > 1, or a Gaussian rational with a nonzero imaginary part.
 So no Gaussian rational is built for a polynomial in which i does not
 occur.  i occurs only in what the cli module's expression grammar
-parses, which is built by +, -, * and ** and rendered, never evaluated.
+parses, which is built in a GaussianForm by +, -, * and ** and rendered,
+never evaluated.
 
 Monomials are exponent tuples indexed by a VariableRegistry, which fixes
 the variable order once and for all; two registries are interchangeable
@@ -15,10 +16,12 @@ Term order is graded lexicographic in registry index order (total degree
 first, then exponent tuples compared left to right, larger first), so
 iteration and the canonical text rendering are byte-stable across runs.
 
-A product of int polynomials is summed in ints; any other product over
-the Gaussian integers: each operand is scaled once by the lcm D of all
-its denominators, and each sum of term pairs is divided once by D1 * D2
-(Geddes, Czapor and Labahn, Algorithms for Computer Algebra, ch. 2).
+A product of int polynomials is summed in ints; any other product runs
+in the GaussianForm of each operand: Gaussian-integer parts over one
+scale, the lcm D of all its denominators, so each sum of term pairs is
+divided once by D1 * D2 (Geddes, Czapor and Labahn, Algorithms for
+Computer Algebra, ch. 2).  The parser keeps every intermediate in that
+form and builds a Polynomial once, at the end.
 
 Polynomials are immutable after construction; all operations allocate
 fresh results and may be used freely across threads.
@@ -27,7 +30,7 @@ fresh results and may be used freely across threads.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm, prod
+from math import gcd, lcm, prod
 from operator import add, getitem
 from typing import Iterable, Mapping
 
@@ -222,33 +225,18 @@ class Polynomial:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        left, right = self._terms, other._terms
+        if not {*map(type, left.values()), *map(type, right.values())} <= {int}:
+            return (GaussianForm.of(self) * GaussianForm.of(other)).polynomial()
+        out: dict[Monomial, int] = {}
+        for m1, c1 in left.items():
+            for m2, c2 in right.items():
+                mono = tuple(map(add, m1, m2))
+                prior = out.get(mono)
+                out[mono] = c1 * c2 if prior is None else prior + c1 * c2
         result = Polynomial.__new__(Polynomial)
         result.registry = self.registry
-        left, right = self._terms, other._terms
-        if {*map(type, left.values()), *map(type, right.values())} <= {int}:
-            out: dict[Monomial, int] = {}
-            for m1, c1 in left.items():
-                for m2, c2 in right.items():
-                    mono = tuple(map(add, m1, m2))
-                    prior = out.get(mono)
-                    out[mono] = c1 * c2 if prior is None else prior + c1 * c2
-            result._terms = {m: c for m, c in out.items() if c}
-            return result
-        (scale1, left), (scale2, right) = map(_gaussian_integers, (left, right))
-        sums: dict[Monomial, list[int]] = {}  # real and imaginary part
-        for m1, a, b in left:
-            for m2, c, d in right:
-                mono = tuple(map(add, m1, m2))
-                prior = sums.get(mono)
-                if prior is None:
-                    sums[mono] = [a * c - b * d, a * d + b * c]
-                else:
-                    prior[0] += a * c - b * d
-                    prior[1] += a * d + b * c
-        scale = scale1 * scale2
-        gaussian = exactnum._gaussian  # read per call, so a patch of exactnum applies
-        result._terms = {m: gaussian(Fraction(re, scale), Fraction(im, scale)) if im
-                         else quotient(re, scale) for m, (re, im) in sums.items() if re or im}
+        result._terms = {m: c for m, c in out.items() if c}
         return result
 
     __rmul__ = __mul__
@@ -256,15 +244,7 @@ class Polynomial:
     def __pow__(self, exponent: int) -> "Polynomial":
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("exponent must be a non-negative integer")
-        result = Polynomial.constant(self.registry, 1)
-        base = self
-        n = exponent
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        return _power(Polynomial.constant(self.registry, 1), self, exponent)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction, GaussianRational)):
@@ -318,14 +298,97 @@ class Polynomial:
         return f"Polynomial({self.render()})"
 
 
-def _gaussian_integers(terms: "Mapping[Monomial, Coefficient]") -> "tuple[int, list]":
-    """(D, [(mono, re, im)]): the terms times D with int parts, D the lcm of
-    every denominator, real and imaginary parts alike."""
-    parts = [(m, c.re, c.im) if type(c) is GaussianRational else (m, c, 0)
-             for m, c in terms.items()]
-    scale = lcm(*[p.denominator for _, re, im in parts for p in (re, im)])
-    return scale, [(m, re.numerator * (scale // re.denominator),
-                    im.numerator * (scale // im.denominator)) for m, re, im in parts]
+class GaussianForm:
+    """A polynomial over Q(i) as Gaussian integers over one scale: the sum
+    of (re + im*i) * mono / scale over terms {mono: (re, im)}, int parts,
+    none (0, 0), int scale > 0, and the gcd of the scale and every part 1.
+    So the scale is the lcm of the denominators of the coefficients, and
+    each polynomial has one form.  The cli grammar lowers into forms, and
+    Polynomial.__mul__ multiplies through them.  Not mutated once built.
+    """
+
+    __slots__ = ("registry", "terms", "scale")
+
+    def __init__(self, registry: VariableRegistry,
+                 sums: "Mapping[Monomial, Iterable[int]]", scale: int = 1):
+        """The form of sums / scale: zero terms dropped, then the scale and
+        every part divided by their gcd, which stops at the first 1."""
+        self.registry = registry
+        self.terms = {m: (re, im) for m, (re, im) in sums.items() if re or im}
+        self.scale = scale
+        common = scale
+        for re, im in self.terms.values():
+            common = gcd(common, re, im)
+            if common == 1:
+                return
+        self.terms = {m: (re // common, im // common) for m, (re, im) in self.terms.items()}
+        self.scale = scale // common
+
+    @classmethod
+    def of(cls, poly: Polynomial) -> "GaussianForm":
+        """The form of a Polynomial: its terms times the lcm of every
+        denominator, real and imaginary parts alike."""
+        parts = [(m, c.re, c.im) if type(c) is GaussianRational else (m, c, 0)
+                 for m, c in poly.items()]
+        scale = lcm(*[p.denominator for _, re, im in parts for p in (re, im)])
+        return cls(poly.registry, {m: (re.numerator * (scale // re.denominator),
+                                       im.numerator * (scale // im.denominator))
+                                   for m, re, im in parts}, scale)
+
+    @classmethod
+    def sum(cls, signed: "list[tuple[int, GaussianForm]]") -> "GaussianForm":
+        """The sum of sign * form over (sign, form) pairs, sign 1 or -1, in
+        one pass over the lcm of their scales: each form is scaled once."""
+        scale = lcm(*[form.scale for _, form in signed])
+        sums: dict[Monomial, list[int]] = {}  # real and imaginary part
+        for sign, form in signed:
+            k = sign * (scale // form.scale)
+            for mono, (re, im) in form.terms.items():
+                prior = sums.get(mono)
+                if prior is None:
+                    sums[mono] = [k * re, k * im]
+                else:
+                    prior[0] += k * re
+                    prior[1] += k * im
+        return cls(signed[0][1].registry, sums, scale)
+
+    def __mul__(self, other: "GaussianForm") -> "GaussianForm":
+        sums: dict[Monomial, list[int]] = {}  # real and imaginary part
+        right = other.terms.items()
+        for m1, (a, b) in self.terms.items():
+            for m2, (c, d) in right:
+                mono = tuple(map(add, m1, m2))
+                prior = sums.get(mono)
+                if prior is None:
+                    sums[mono] = [a * c - b * d, a * d + b * c]
+                else:
+                    prior[0] += a * c - b * d
+                    prior[1] += a * d + b * c
+        return GaussianForm(self.registry, sums, self.scale * other.scale)
+
+    def __pow__(self, exponent: int) -> "GaussianForm":
+        return _power(GaussianForm(self.registry, {self.registry.unit_monomial(): (1, 0)}),
+                      self, exponent)
+
+    def polynomial(self) -> Polynomial:
+        """The Polynomial of the form, each coefficient built once."""
+        scale = self.scale
+        gaussian = exactnum._gaussian  # read per call, so a patch of exactnum applies
+        result = Polynomial.__new__(Polynomial)
+        result.registry = self.registry
+        result._terms = {m: gaussian(Fraction(re, scale), Fraction(im, scale)) if im
+                         else quotient(re, scale) for m, (re, im) in self.terms.items()}
+        return result
+
+
+def _power(result, base, exponent: int):
+    """result * base ** exponent by repeated squaring."""
+    while exponent:
+        if exponent & 1:
+            result = result * base
+        base = base * base if exponent > 1 else base
+        exponent >>= 1
+    return result
 
 
 def _render_monomial(registry: VariableRegistry, mono: Monomial) -> str:

@@ -6,10 +6,10 @@ as the integer rows weil_model evaluates at a triple, and skips both the
 normalization and the clearing of denominators.  Right kernel bases and
 det_rref come from one fraction-free Gauss-Jordan pass over Z: each row
 is cleared of denominators (a ScalarMatrix's only) and of its content
-once, and each Bareiss step divides exactly by the previous pivot, so
-the loop takes no gcd.  kernel_basis gives the quadric kernel at a
-triple (its length is 7 minus the rank of the relation matrix), and
-det_rref det M there (weil_model.determinant_at).
+once, and each Bareiss step divides its live columns exactly by the
+previous pivot, so the loop takes no gcd.  kernel_basis gives the
+quadric kernel at a triple (its length is 7 minus the rank of the
+relation matrix), and det_rref det M there (weil_model.determinant_at).
 PolyMatrix holds ring elements (polynomials, or any type with +, -, *,
 **0 and bool) and gets its determinant by cofactor expansion along the
 rows, memoized over the set of columns each trailing minor uses; that
@@ -101,15 +101,15 @@ def _rref(matrix: "ScalarMatrix | IntegerMatrix"
     only for an IntegerMatrix, else exactnum.primitive); num and den
     record those multipliers and the swap signs.  Dividing out the
     content keeps the minors small: on evaluated integer rows it cuts
-    their largest bit length by about a factor of three.  Each pivot
-    step replaces every other row, those above the pivot included, by
-    (pivot * row - entry * top) // prev, prev the previous pivot: by
-    Sylvester's identity every entry is a minor of the cleared matrix,
-    so the division is exact and the loop takes no gcd (Bareiss, Math.
-    Comp. 22, 1968).  Every pivot column is zero outside its pivot row
-    and every pivot entry equals the last pivot, so the reduced row
-    echelon form is a divided by it; for a square matrix of full rank
-    the factor prev * den / num is the determinant.
+    their largest bit length by about a factor of three.  A pivot step
+    at (r, c) updates the live columns (the free columns left of c and
+    all right of c) of every other row by (pivot * x - entry * y) //
+    prev, prev the previous pivot: by Sylvester's identity each entry is
+    a minor of the cleared matrix, so the division is exact and the loop
+    takes no gcd (Bareiss, Math. Comp. 22, 1968).  Column c becomes zero
+    off row r, and every pivot entry the last pivot, at the end, as full
+    steps would leave it: a divided by it is the reduced row echelon
+    form, and for a square matrix of full rank prev * den / num is det.
     """
     a = []
     num = den = 1
@@ -125,6 +125,7 @@ def _rref(matrix: "ScalarMatrix | IntegerMatrix"
         den *= content
     nrows, ncols = matrix.rows, matrix.cols
     pivots: list[tuple[int, int]] = []
+    live = list(range(ncols))
     prev = 1
     r = 0
     for c in range(ncols):
@@ -136,15 +137,19 @@ def _rref(matrix: "ScalarMatrix | IntegerMatrix"
             num = -num
         top = a[r]
         pivot = top[c]
-        for i in range(nrows):
-            if i != r:
-                entry = a[i][c]
-                a[i] = [(pivot * x - entry * y) // prev for x, y in zip(a[i], top)]
+        live.remove(c)
+        for row in a:
+            if row is not top:
+                entry, row[c] = row[c], 0
+                for j in live:
+                    row[j] = (pivot * row[j] - entry * top[j]) // prev
         prev = pivot
         pivots.append((r, c))
         r += 1
         if r == nrows:
             break
+    for r, c in pivots:
+        a[r][c] = prev
     return a, pivots, quotient(prev * den, num)
 
 

@@ -40,18 +40,18 @@ Every check runs over Z or Q; this module certifies, in exact arithmetic:
     theorem that the freeness module checks once (prymcert verify
     freeness), so fixed_point_free_check reads the triple's det M.
 
-The per-triple checks work on integer data.  The 6x6 and 7x6 matrices
-are evaluated at a triple by one pass over a sparse plan of their terms
-(_evaluate), giving L^top times the matrix in ints, L the lcm of the
-triple's denominators, and eliminated as an IntegerMatrix.
-determinant_at and fixed_point_free_check share one det M value per
-triple (_determinant), and quadric_relation_kernel_dim and
-vanishing_quadric one kernel (_quadric_kernel).  The diagonal check
-stores each restricted (2,2)-form as a 3x3 integer grid (form_grid), and
-_misses_common_zero certifies that the restricted a1..a6 share no zero
-on P^1 x P^1: it takes the t-resultants of all 15 pairs of grids by the
-Bezout formula for two binary quadratics on coefficient lists in Z[s]
-(t_resultant) and finds that they have no common projective root.
+The per-triple checks work on integer data.  One evaluation per triple
+(_evaluated) computes each monomial and term of the 6x6 and 7x6 once,
+giving L^top times each matrix in ints (the 7x6 as its transpose), L the
+lcm of the triple's denominators.  determinant_at and
+fixed_point_free_check share one det M value per triple (_determinant),
+and quadric_relation_kernel_dim and vanishing_quadric one kernel
+(_quadric_kernel).  The diagonal check stores each restricted (2,2)-form
+as a 3x3 integer grid (form_grid), and _misses_common_zero certifies
+that the restricted a1..a6 share no zero on P^1 x P^1: it takes the
+t-resultants of all 15 pairs of grids by the Bezout formula for two
+binary quadratics on coefficient lists in Z[s] (t_resultant) and finds
+that they have no common projective root.
 
 The action convention is pinned by tests: sigma acts on polynomials by
 the substitution s->t, t->x, x->y, y->s, the unique convention for which
@@ -62,7 +62,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import accumulate, combinations, permutations
 from math import gcd, lcm, prod
 from typing import Iterable, Mapping, Sequence
 
@@ -688,64 +688,65 @@ def elimination_determinant() -> Polynomial:
     return det_expansion(eliminate().matrix)
 
 
-def _plan(pm: PolyMatrix) -> "tuple[int, tuple]":
-    """(top, rows): top is the largest total degree of an entry, and each
-    entry is a tuple of terms (c, top - deg, pairs), with c the coefficient,
-    deg the total degree of the term and pairs its (variable index,
-    exponent) pairs with a nonzero exponent."""
-    top = max(0, max(entry.total_degree() for row in pm.entries for entry in row))
-    return top, tuple(
-        tuple(tuple((c, top - sum(mono), tuple((k, e) for k, e in enumerate(mono) if e))
-                    for mono, c in entry.items())
-              for entry in row)
-        for row in pm.entries)
+@lru_cache(maxsize=1)
+def _plan(elimination: EliminationResult) -> "tuple[int, tuple, tuple, tuple]":
+    """(top, slots, terms, tables) for the 6x6 and the 6x7 transpose of the
+    7x6, top the largest total degree, at least 1.  Monomial j is the
+    product of the factors slots[s][j], s < top, of (L, m_1..m_9); terms
+    holds the (c, j) pairs, and tables each entry's (begin, end) slice of
+    terms.  Built on first use, not by eliminate(); keyed on its result."""
+    index: "dict[Monomial, int]" = {}
+    terms: "list[tuple[Coefficient, int]]" = []
+
+    def entry_slice(entry: Polynomial) -> "tuple[int, int]":
+        begin = len(terms)
+        terms.extend((c, index.setdefault(mono, len(index))) for mono, c in entry.items())
+        return begin, len(terms)
+
+    tables = tuple(tuple(tuple(map(entry_slice, row)) for row in rows) for rows in
+                   (elimination.matrix.entries, zip(*elimination.quadric_matrix.entries)))
+    top = max([1, *map(sum, index)])
+    slots = zip(*[(0,) * (top - sum(mono)) + sum(((k + 1,) * e for k, e in enumerate(mono)), ())
+                  for mono in index])
+    return top, tuple(slots), tuple(terms), tables
 
 
 @lru_cache(maxsize=1)
-def _evaluation_plans(elimination: EliminationResult) -> "tuple[tuple, tuple]":
-    """The plans (_plan) of an elimination's 6x6 and 7x6 matrices.
-
-    Built on the first per-triple check, not by eliminate(), and keyed on
-    the elimination object, so eliminate.cache_clear() retires them too.
-    """
-    return _plan(elimination.matrix), _plan(elimination.quadric_matrix)
-
-
-def _evaluate(plan: "tuple[int, tuple]",
-              triple: CoefficientTriple) -> "tuple[list[list[int]], int]":
-    """A planned matrix at a triple, scaled to integers: (rows, L^top).
-
-    L is the lcm of the denominators of the triple's entries v_k, so each
-    m_k = L * v_k is an integer, and a term c * prod v_k^e of total degree
-    deg contributes c * L^(top - deg) * prod m_k^e to L^top times its
-    entry.  The homogenizing factor goes by the total degree of the term,
-    not by the exponent of each variable.  rows is L^top times the matrix
-    at the triple, in one pass over ints.
-    """
-    top, rows = plan
+def _evaluated(elimination: EliminationResult, triple: CoefficientTriple
+               ) -> "tuple[list[list[int]], list[list[int]], int]":
+    """(rows of the planned 6x6, of the 6x7, L^top): L^top times the
+    matrices at a triple, in ints.  L is the lcm of the denominators of
+    the triple's entries v_k, so each m_k = L * v_k is an integer, and a
+    term c * prod v_k^e of total degree deg contributes
+    c * L^(top - deg) * prod m_k^e: the homogenizing factor goes by the
+    total degree of the term, not by the exponent of each variable.  An
+    entry, the sum of its slice of terms, is the difference of two
+    running sums.  Neither argument type defines __eq__, so the key is
+    the identity of both objects, and the cache holds the last pair
+    alive, so no later one reuses its id."""
+    top, slots, terms, tables = _plan(elimination)
     values = triple.values()
     scale = lcm(*[v.denominator for v in values])
-    m = [v.numerator * (scale // v.denominator) for v in values]
-    powers = [scale ** d for d in range(top + 1)]
-    return [[sum([c * powers[d] * prod([m[k] ** e for k, e in pairs])
-                  for c, d, pairs in entry])
-             for entry in row]
-            for row in rows], powers[top]
+    factors = [scale] + [v.numerator * (scale // v.denominator) for v in values]
+    powers = [factors[k] for k in slots[0]]
+    for slot in slots[1:]:
+        powers = [p * factors[k] for p, k in zip(powers, slot)]
+    sums = list(accumulate([c * powers[k] for c, k in terms], initial=0))
+    return (*[[[sums[end] - sums[begin] for begin, end in row] for row in table]
+              for table in tables], scale ** top)
 
 
 @lru_cache(maxsize=1)
 def _determinant(elimination: EliminationResult, triple: CoefficientTriple) -> Rational:
-    """det M at a triple, shared by determinant_at and fixed_point_free_check.
-
-    Keyed, like _quadric_kernel, on the identity of both objects.
-    """
-    rows, factor = _evaluate(_evaluation_plans(elimination)[0], triple)
+    """det M at a triple, shared by determinant_at and
+    fixed_point_free_check, keyed like _evaluated."""
+    rows, _, factor = _evaluated(elimination, triple)
     return Fraction(det_rref(IntegerMatrix(rows)), factor ** len(rows))
 
 
 def determinant_at(triple: CoefficientTriple) -> Rational:
     """det M at a rational triple: Gauss-Jordan over Z (det_rref) of the
-    integer rows N = L^top * M of the 6x6 elimination matrix (_evaluate),
+    integer rows N = L^top * M of the 6x6 elimination matrix (_evaluated),
     so det M = det N / L^(6*top); the symbolic det M is not built."""
     return _determinant(eliminate(), triple)
 
@@ -754,16 +755,10 @@ def determinant_at(triple: CoefficientTriple) -> Rational:
 def _quadric_kernel(elimination: EliminationResult,
                     triple: CoefficientTriple) -> "tuple[tuple[Coefficient, ...], ...]":
     """Basis of the left kernel of the 7x6 relation matrix at a triple
-    (kernel_basis of the transposed integer rows; a positive scale moves
+    (kernel_basis of the evaluated 6x7 transpose; a positive scale moves
     no kernel), shared by quadric_relation_kernel_dim and
-    vanishing_quadric.
-
-    Neither argument type defines __eq__, so the key is the identity of
-    both objects, no Fraction is hashed, and the cache holds the last pair
-    alive, so a later triple or elimination cannot reuse its id.
-    """
-    rows, _ = _evaluate(_evaluation_plans(elimination)[1], triple)
-    return tuple(kernel_basis(IntegerMatrix(list(zip(*rows)))))
+    vanishing_quadric, keyed like _evaluated."""
+    return tuple(kernel_basis(IntegerMatrix(_evaluated(elimination, triple)[1])))
 
 
 def quadric_relation_kernel_dim(triple: CoefficientTriple) -> int:

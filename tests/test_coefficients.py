@@ -51,11 +51,12 @@ def test_elimination_matrix_entries():
 @pytest.mark.parametrize("triple", TRIPLES, ids=["integer", "rational"])
 def test_evaluated_matrices(triple):
     result = wm.eliminate()
-    matrices = (result.matrix, result.quadric_matrix)
-    for plan, matrix in zip(wm._evaluation_plans(result), matrices):
-        rows, factor = wm._evaluate(plan, triple)
-        assert [len(row) for row in rows] == [matrix.cols] * matrix.rows
-        assert type(factor) is int and factor > 0
+    *tables, factor = wm._evaluated(result, triple)
+    assert type(factor) is int and factor > 0
+    shapes = ((result.matrix.rows, result.matrix.cols),
+              (result.quadric_matrix.cols, result.quadric_matrix.rows))  # transposed
+    for rows, (nrows, ncols) in zip(tables, shapes):
+        assert [len(row) for row in rows] == [ncols] * nrows
         for row in rows:
             for value in row:
                 assert type(value) is int

@@ -2,7 +2,7 @@
 against a term-by-term reference.
 
 Polynomial.evaluate sums over a common denominator, with one power table
-per variable shared by all the terms; weil_model._evaluate scales the
+per variable shared by all the terms; weil_model._evaluated scales the
 elimination matrices to integer rows.  The reference below is the plain
 loop: every term's value is built from Fraction powers and added up.
 """
@@ -117,18 +117,25 @@ def test_unbound_variable():
         t.evaluate({})
 
 
+def evaluated_tables(triple):
+    """The integer rows of the per-triple checks at a triple, each table
+    with the polynomial rows it was evaluated from (the 6x6 matrix, and
+    the relation matrix transposed to 6x7), and their common factor."""
+    result = wm.eliminate()
+    matrix, quadric, factor = wm._evaluated(result, triple)
+    entries = (result.matrix.entries, tuple(zip(*result.quadric_matrix.entries)))
+    return list(zip((matrix, quadric), entries)), factor
+
+
 @pytest.mark.parametrize("kind", ["integer", "rational", "zeros"])
 def test_shared_table_matches_per_entry_evaluation(kind):
     # the integer rows of the per-triple checks, from one shared plan,
     # divided by their factor
-    result = wm.eliminate()
     point = COEFF_POINTS[kind]
-    triple = wm.CoefficientTriple.from_rationals(point.values())
-    matrices = (result.matrix, result.quadric_matrix)
-    for plan, matrix in zip(wm._evaluation_plans(result), matrices):
-        rows, factor = wm._evaluate(plan, triple)
+    tables, factor = evaluated_tables(wm.CoefficientTriple.from_rationals(point.values()))
+    for rows, entries in tables:
         assert ScalarMatrix.from_rows([quotient(v, factor) for v in row] for row in rows) == \
-            ScalarMatrix.from_rows(matrix.map(lambda e: e.evaluate(point)))
+            ScalarMatrix.from_rows([e.evaluate(point) for e in row] for row in entries)
 
 
 # A zero of det M: a homogenizing factor taken per variable (n^e * d^(top-e)
@@ -152,15 +159,13 @@ def test_integer_rows_are_scaled_reference_values(kind):
     triple = wm.CoefficientTriple.from_rationals(values)
     point = triple.as_point()
     scale = lcm(*(Fraction(v).denominator for v in values))
-    result = wm.eliminate()
-    matrices = (result.matrix, result.quadric_matrix)
-    for plan, matrix in zip(wm._evaluation_plans(result), matrices):
-        top = max(e.total_degree() for row in matrix.entries for e in row)
-        rows, factor = wm._evaluate(plan, triple)
+    tables, factor = evaluated_tables(triple)
+    for rows, matrix in tables:
+        top = max(e.total_degree() for row in matrix for e in row)
         assert top == 2 and factor == scale ** top
-        assert len(rows) == matrix.rows
-        for row, entries in zip(rows, matrix.entries):
-            assert len(row) == matrix.cols
+        assert len(rows) == len(matrix)
+        for row, entries in zip(rows, matrix):
+            assert len(row) == len(entries)
             for value, entry in zip(row, entries):
                 assert type(value) is int
                 assert value == factor * reference_evaluate(entry, point)

@@ -357,11 +357,15 @@ def test_real_shift_matrices_take_the_integer_path(eigenvalue):
 
 def _assert_pivots_equal_the_last(m):
     """The Bareiss invariant: each step divides by the previous pivot, so
-    after _rref every pivot entry equals the last pivot."""
+    after _rref every pivot entry equals the last pivot, and the rows
+    divided by it are the reduced row echelon form."""
     a, pivots, _ = _rref(m)
     if pivots:
         last_row, last_col = pivots[-1]
-        assert {a[r][c] for r, c in pivots} == {a[last_row][last_col]}
+        last = a[last_row][last_col]
+        assert {a[r][c] for r, c in pivots} == {last}
+        reduced = reference_rref([list(row) for row in m.entries])[0]
+        assert [[quotient(x, last) for x in row] for row in a] == reduced
 
 
 def test_pivot_entries_equal_the_last_pivot():

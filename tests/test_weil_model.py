@@ -12,7 +12,7 @@ import pytest
 
 from prymcert import CheckFailed, linalg
 from prymcert.exactnum import GaussianRational, IMAG_UNIT
-from prymcert.linalg import ScalarMatrix, det_rref, kernel_basis
+from prymcert.linalg import ScalarMatrix, det_expansion, det_rref, kernel_basis
 from prymcert.multipoly import Polynomial, VariableRegistry
 from prymcert import weil_model as wm
 from resultant_oracle import diagonal_equations
@@ -431,6 +431,27 @@ def test_freeness_reads_the_determinant_of_the_same_triple(monkeypatch):
     assert wm.determinant_at(triple) == WITNESS_DET and len(calls) == 3
 
 
+def test_every_check_of_a_triple_reads_one_evaluation(monkeypatch):
+    # the four per-triple checks evaluate the matrices once per triple
+    # object (each evaluation reads the plan once), and a new triple object
+    # with the same values is evaluated afresh
+    calls = []
+    real = wm._plan
+
+    def counted(elimination):
+        calls.append(elimination)
+        return real(elimination)
+
+    monkeypatch.setattr(wm, "_plan", counted)
+    for expected in (1, 2):
+        triple = wm.CoefficientTriple.from_rationals(WITNESS.values())
+        assert wm.determinant_at(triple) == WITNESS_DET
+        assert wm.quadric_relation_kernel_dim(triple) == 1
+        assert len(wm.vanishing_quadric(triple)) == 7
+        assert wm.fixed_point_free_check(triple) == wm.CERTIFIED_EMPTY
+        assert len(calls) == expected
+
+
 def test_diagonal_base_point_free():
     # raises CheckFailed unless the restricted system is base-point-free
     assert wm.verify_diagonal() == wm.diagonal_restriction_factors()
@@ -620,7 +641,17 @@ def _fresh_quadric_kernel(values):
     return kernel_basis(ScalarMatrix.from_rows(rows).transpose())
 
 
-def _assert_fresh_quadric(triple, values):
+def _fresh_determinant(values):
+    """det M at a triple, from eliminate() evaluated by Polynomial.evaluate
+    and expanded by cofactors, outside the shared per-triple evaluation."""
+    point = wm.CoefficientTriple.from_rationals(values).as_point()
+    return det_expansion(ScalarMatrix.from_rows(
+        wm.eliminate().matrix.map(lambda e: e.evaluate(point))))
+
+
+def _assert_fresh_checks(triple, values):
+    """The kernel, the quadric and then det M at a triple, the last read
+    from the evaluation that the kernel left in the shared memo."""
     kernel = _fresh_quadric_kernel(values)
     assert wm.quadric_relation_kernel_dim(triple) == len(kernel)
     if len(kernel) == 1:
@@ -628,6 +659,7 @@ def _assert_fresh_quadric(triple, values):
     else:
         with pytest.raises(wm.KernelNotUnique):
             wm.vanishing_quadric(triple)
+    assert wm.determinant_at(triple) == _fresh_determinant(values)
 
 
 QUADRIC_A = (6, 5, 6, -6, 6, -1, -2, -8, -2)
@@ -637,12 +669,13 @@ QUADRIC_B = (Fraction(3, 7), -2, Fraction(5, 9), 1, 0, Fraction(-4, 3), 2, 7, Fr
 def test_quadric_kernel_memo_does_not_cross_triples():
     a, b = (wm.CoefficientTriple.from_rationals(v) for v in (QUADRIC_A, QUADRIC_B))
     assert _fresh_quadric_kernel(QUADRIC_A) != _fresh_quadric_kernel(QUADRIC_B)
+    assert _fresh_determinant(QUADRIC_A) != _fresh_determinant(QUADRIC_B)
     for triple, values in [(a, QUADRIC_A), (b, QUADRIC_B), (a, QUADRIC_A)]:
-        _assert_fresh_quadric(triple, values)
+        _assert_fresh_checks(triple, values)
     # a triple with equal values is another key; one dropped after its check
-    # cannot hand its id and its cached kernel to the next
+    # cannot hand its id and its cached kernel or evaluation to the next
     for values in [QUADRIC_A, (0,) * 9, QUADRIC_B, QUADRIC_A, (1,) + (0,) * 8]:
-        _assert_fresh_quadric(wm.CoefficientTriple.from_rationals(values), values)
+        _assert_fresh_checks(wm.CoefficientTriple.from_rationals(values), values)
 
 
 @pytest.fixture
@@ -657,8 +690,9 @@ def fresh_elimination():
 
 
 def test_quadric_kernel_and_plans_follow_a_new_elimination(monkeypatch, fresh_elimination):
-    # the same triple object after eliminate.cache_clear(): neither the plans
-    # nor the shared kernel may serve the old elimination's values
+    # the same triple object after eliminate.cache_clear(): neither the plan,
+    # the shared evaluation nor the shared kernel may serve the old
+    # elimination's values
     triple = wm.CoefficientTriple.from_rationals(QUADRIC_A)
     before = wm.vanishing_quadric(triple)
     det_before = wm.determinant_at(triple)
@@ -672,7 +706,7 @@ def test_quadric_kernel_and_plans_follow_a_new_elimination(monkeypatch, fresh_el
 
     monkeypatch.setattr(wm, "_relation_tables", with_doubled_first_rows)
     wm.eliminate.cache_clear()
-    _assert_fresh_quadric(triple, QUADRIC_A)
+    _assert_fresh_checks(triple, QUADRIC_A)
     assert wm.vanishing_quadric(triple) != before
     assert wm.determinant_at(triple) == 2 * det_before
 
